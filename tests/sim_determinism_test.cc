@@ -7,16 +7,24 @@
 // naive reference implementation of the same contract, over randomized
 // schedule/cancel/nested workloads, and (2) fig7-shaped PigPaxos runs
 // that must produce identical commit counts, latency digests, and
-// per-node TrafficStats when re-run with the same seed.
+// per-node TrafficStats when re-run with the same seed. (3) A golden
+// table pins short runs of every protocol, a sharded run, a scripted-
+// fault WAN run and the full 20-config scenario sweep to constants, so a
+// refactor of how runs are configured must reproduce them exactly.
 #include <gtest/gtest.h>
 
+#include <cinttypes>
 #include <cstdint>
+#include <cstdio>
 #include <functional>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "common/rng.h"
 #include "harness/experiment.h"
+#include "harness/scenario.h"
+#include "shard/router.h"
 #include "sim/scheduler.h"
 
 namespace pig {
@@ -297,6 +305,191 @@ TEST(SimDeterminismTest, DisabledEngineMatchesLegacyPathExactly) {
   EXPECT_EQ(off.batches_proposed, 0u);
   EXPECT_EQ(off.uplink_bundles, 0u);
   EXPECT_EQ(off.mean_batch_size, 1.0);
+}
+
+// ---------------------------------------------------------------------------
+// Golden outputs. Each run is reduced to its completion count, its
+// simulator event count and an FNV-1a digest of every other observable
+// (timeline, per-replica message and CPU figures, latency digests and
+// protocol counters). The constants were recorded from the simulator as
+// it stood before the replica-spec refactor; any change to them is a
+// behaviour change, not a cleanup.
+
+void AppendField(std::string& out, const char* name, double v) {
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "%s=%.17g;", name, v);
+  out += buf;
+}
+
+void AppendField(std::string& out, const char* name, uint64_t v) {
+  out += name;
+  out += "=" + std::to_string(v) + ";";
+}
+
+template <typename T>
+void AppendField(std::string& out, const char* name,
+                 const std::vector<T>& vs) {
+  out += name;
+  out += "=[";
+  for (const T& v : vs) AppendField(out, "", v);
+  out += "];";
+}
+
+uint64_t Digest(const harness::RunResult& r) {
+  std::string s;
+  AppendField(s, "throughput", r.throughput);
+  AppendField(s, "mean_ms", r.mean_ms);
+  AppendField(s, "p50_ms", r.p50_ms);
+  AppendField(s, "p99_ms", r.p99_ms);
+  AppendField(s, "timeouts", r.timeouts);
+  AppendField(s, "redirects", r.redirects);
+  AppendField(s, "timeline", r.timeline);
+  AppendField(s, "per_group_completed", r.per_group_completed);
+  AppendField(s, "msgs_per_request", r.msgs_per_request);
+  AppendField(s, "cpu_utilization", r.cpu_utilization);
+  AppendField(s, "cross_region_msgs", r.cross_region_msgs);
+  AppendField(s, "elections_started", r.elections_started);
+  AppendField(s, "propose_retries", r.propose_retries);
+  AppendField(s, "log_syncs", r.log_syncs);
+  AppendField(s, "relay_timeouts", r.relay_timeouts);
+  AppendField(s, "relay_early_batches", r.relay_early_batches);
+  AppendField(s, "relays_suspected", r.relays_suspected);
+  AppendField(s, "reshuffles", r.reshuffles);
+  AppendField(s, "stale_replies", r.stale_replies);
+  AppendField(s, "ring_rounds_completed", r.ring_rounds_completed);
+  AppendField(s, "ring_timeouts", r.ring_timeouts);
+  AppendField(s, "ring_fallback_fanouts", r.ring_fallback_fanouts);
+  AppendField(s, "batches_proposed", r.batches_proposed);
+  AppendField(s, "batched_commands", r.batched_commands);
+  AppendField(s, "batch_timeout_flushes", r.batch_timeout_flushes);
+  AppendField(s, "pipeline_stalls", r.pipeline_stalls);
+  AppendField(s, "uplink_bundles", r.uplink_bundles);
+  AppendField(s, "uplink_coalesced", r.uplink_coalesced);
+  AppendField(s, "mean_batch_size", r.mean_batch_size);
+  return shard::StableKeyHash(s);
+}
+
+struct Golden {
+  uint64_t completed;
+  uint64_t total_events;
+  uint64_t digest;
+};
+
+void ExpectGolden(const char* name, const harness::RunResult& r,
+                  const Golden& want) {
+  EXPECT_GT(r.completed, 0u) << name;
+  EXPECT_EQ(r.completed, want.completed) << name;
+  EXPECT_EQ(r.total_events, want.total_events) << name;
+  EXPECT_EQ(Digest(r), want.digest) << name;
+  std::printf("golden %s: {%" PRIu64 "u, %" PRIu64 "u, 0x%016" PRIx64
+              "ull}\n",
+              name, r.completed, r.total_events, Digest(r));
+}
+
+harness::ExperimentConfig GoldenBase(harness::Protocol protocol,
+                                     size_t replicas) {
+  harness::ExperimentConfig cfg;
+  cfg.protocol = protocol;
+  cfg.num_replicas = replicas;
+  cfg.num_clients = 8;
+  cfg.workload.read_ratio = 0.5;
+  cfg.warmup = 100 * kMillisecond;
+  cfg.measure = 400 * kMillisecond;
+  cfg.seed = 11;
+  return cfg;
+}
+
+TEST(SimGoldenTest, Paxos) {
+  ExpectGolden("paxos",
+               harness::RunExperiment(
+                   GoldenBase(harness::Protocol::kPaxos, 5)),
+               {4271u, 106631u, 0xbe483c5fdabf8982ull});
+}
+
+TEST(SimGoldenTest, PigPaxosThreeGroups) {
+  harness::ExperimentConfig cfg = GoldenBase(harness::Protocol::kPigPaxos, 9);
+  cfg.relay_groups = 3;
+  ExpectGolden("pigpaxos", harness::RunExperiment(cfg), {3026u, 138854u, 0xf412835c83fe409full});
+}
+
+TEST(SimGoldenTest, Ring) {
+  ExpectGolden("ring",
+               harness::RunExperiment(GoldenBase(harness::Protocol::kRing, 7)),
+               {2106u, 48639u, 0xa3735d7c1792d1e7ull});
+}
+
+TEST(SimGoldenTest, EPaxos) {
+  ExpectGolden("epaxos",
+               harness::RunExperiment(
+                   GoldenBase(harness::Protocol::kEPaxos, 5)),
+               {812u, 28764u, 0x142748e46bd91520ull});
+}
+
+TEST(SimGoldenTest, ShardedPigPaxos) {
+  harness::ExperimentConfig cfg = GoldenBase(harness::Protocol::kPigPaxos, 5);
+  cfg.num_groups = 2;
+  cfg.relay_groups = 2;
+  ExpectGolden("sharded-pigpaxos", harness::RunExperiment(cfg),
+               {3273u, 85151u, 0xe96fb20600041fd7ull});
+}
+
+TEST(SimGoldenTest, WanRegionPigPaxosUnderCrashRecover) {
+  harness::ScenarioSpec spec;
+  spec.name = "golden-wan-crash";
+  spec.topology = harness::Topology::kWanVaCaOr;
+  spec.schedule = {harness::CrashEvent(500 * kMillisecond, 4),
+                   harness::RecoverEvent(900 * kMillisecond, 4)};
+  harness::ExperimentConfig cfg = GoldenBase(harness::Protocol::kPigPaxos, 9);
+  cfg.relay_groups = 3;
+  cfg.measure = 1500 * kMillisecond;
+  ExpectGolden("wan-region-crash", harness::RunScenario(spec, cfg),
+               {184u, 10077u, 0xde5fce67449e55adull});
+}
+
+TEST(SimGoldenTest, LanPigPaxosLeaderCrashRecover) {
+  // The fig13 shape in miniature: the leader dies and comes back.
+  harness::ExperimentConfig cfg = GoldenBase(harness::Protocol::kPigPaxos, 9);
+  cfg.relay_groups = 3;
+  cfg.crash_at = {{150 * kMillisecond, 0}};
+  cfg.recover_at = {{300 * kMillisecond, 0}};
+  ExpectGolden("lan-leader-crash", harness::RunExperiment(cfg),
+               {1143u, 68619u, 0x810ace2a69983042ull});
+}
+
+TEST(SimGoldenTest, FullScenarioSweepJson) {
+  // The bench_scenario_sweep --full-sweep configuration: 20 configs
+  // under one partitioned-WAN schedule.
+  harness::ScenarioSpec spec;
+  spec.name = "wan-partition-sweep";
+  spec.topology = harness::Topology::kWanVaCaOr;
+  spec.schedule = {
+      harness::PartitionEvent(300 * kMillisecond,
+                              {0, 0, 0, 0, 0, 0, 1, 1, 1}),
+      harness::CrashEvent(600 * kMillisecond, 4),
+      harness::HealEvent(1100 * kMillisecond),
+      harness::RecoverEvent(1400 * kMillisecond, 4),
+  };
+  harness::SweepAxes axes;
+  axes.protocols = {harness::Protocol::kPaxos, harness::Protocol::kPigPaxos,
+                    harness::Protocol::kRing};
+  axes.quorums = {{0, 0}, {8, 2}};
+  axes.relay_groups = {2, 3};
+  axes.overlaps = {0, 1};
+  axes.coalesce = {1, 4};
+  harness::ExperimentConfig base;
+  base.num_replicas = 9;
+  base.num_clients = 24;
+  base.relay_groups = 3;
+  base.workload.read_ratio = 0.5;
+  base.warmup = 200 * kMillisecond;
+  base.measure = 3 * kSecond;
+  base.seed = 42;
+  const std::string json =
+      harness::SweepReportJson(harness::RunScenarioSweep(spec, axes, base));
+  const uint64_t hash = shard::StableKeyHash(json);
+  std::printf("golden sweep: %zu bytes, 0x%016" PRIx64 "ull\n",
+              json.size(), hash);
+  EXPECT_EQ(hash, 0x7575b5703901e1e5ull);
 }
 
 }  // namespace
