@@ -23,13 +23,13 @@ int main() {
   for (bool crash : {false, true}) {
     for (TimeNs interval : {TimeNs{0}, 100 * kMillisecond}) {
       ExperimentConfig cfg;
-      cfg.protocol = Protocol::kPigPaxos;
-      cfg.num_replicas = 25;
-      cfg.relay_groups = 3;
-      cfg.reshuffle_interval = interval;
+      cfg.replica.protocol = Protocol::kPigPaxos;
+      cfg.replica.num_replicas = 25;
+      cfg.replica.pig.num_relay_groups = 3;
+      cfg.replica.pig.reshuffle_interval = interval;
       cfg.num_clients = 128;
       cfg.seed = 42;
-      if (crash) cfg.crash_at = {{0, 24}};
+      if (crash) cfg.scenario.schedule = {CrashEvent(0, 24)};
       RunResult res = RunExperiment(cfg);
       std::printf(" %-9s | %-12s | %11.1f | %8.3f | %7.3f\n",
                   interval > 0 ? "100 ms" : "static",

@@ -22,13 +22,12 @@ int main() {
   for (Protocol proto : {Protocol::kPaxos, Protocol::kPigPaxos}) {
     for (bool flexible : {false, true}) {
       ExperimentConfig cfg;
-      cfg.protocol = proto;
-      cfg.num_replicas = 10;
-      cfg.relay_groups = 2;
+      cfg.replica.protocol = proto;
+      cfg.replica.num_replicas = 10;
+      cfg.replica.pig.num_relay_groups = 2;
       cfg.seed = 42;
       if (flexible) {
-        cfg.flexible_q1 = 8;
-        cfg.flexible_q2 = 3;
+        cfg.replica.paxos.quorum = std::make_shared<FlexibleQuorum>(10, 8, 3);
       }
       cfg.num_clients = 512;
       RunResult sat = RunExperiment(cfg);

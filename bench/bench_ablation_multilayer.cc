@@ -20,10 +20,10 @@ int main() {
       " -------+-----------------+------------------------------\n");
   for (uint32_t layers : {1u, 2u}) {
     ExperimentConfig cfg;
-    cfg.protocol = Protocol::kPigPaxos;
-    cfg.num_replicas = 25;
-    cfg.relay_groups = 2;
-    cfg.relay_layers = layers;
+    cfg.replica.protocol = Protocol::kPigPaxos;
+    cfg.replica.num_replicas = 25;
+    cfg.replica.pig.num_relay_groups = 2;
+    cfg.replica.pig.relay_layers = layers;
     cfg.seed = 42;
 
     cfg.num_clients = 512;

@@ -42,14 +42,14 @@ Outcome Run(size_t threshold, uint32_t clients) {
   copt.network.latency = slow;
   sim::Cluster cluster(copt);
 
-  pigpaxos::PigPaxosOptions popt;
-  popt.paxos.num_replicas = kNodes;
-  popt.num_relay_groups = 2;
-  popt.relay_timeout = 200 * kMillisecond;  // long: thresholds must win
-  popt.group_response_threshold = threshold;
+  ReplicaSpec spec;
+  spec.protocol = Protocol::kPigPaxos;
+  spec.num_replicas = kNodes;
+  spec.pig.num_relay_groups = 2;
+  spec.pig.relay_timeout = 200 * kMillisecond;  // long: thresholds must win
+  spec.pig.group_response_threshold = threshold;
   for (NodeId i = 0; i < kNodes; ++i) {
-    cluster.AddReplica(
-        i, std::make_unique<pigpaxos::PigPaxosReplica>(i, popt));
+    cluster.AddReplica(i, MakeReplica(spec, i));
   }
 
   auto recorder = std::make_shared<client::Recorder>();

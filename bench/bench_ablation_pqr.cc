@@ -98,12 +98,12 @@ double RunPqr(size_t clients, double read_ratio, double* mean_ms) {
   sim::ClusterOptions copt;
   copt.seed = 42;
   sim::Cluster cluster(copt);
-  pigpaxos::PigPaxosOptions popt;
-  popt.paxos.num_replicas = 9;
-  popt.num_relay_groups = 2;
+  ReplicaSpec spec;
+  spec.protocol = Protocol::kPigPaxos;
+  spec.num_replicas = 9;
+  spec.pig.num_relay_groups = 2;
   for (NodeId i = 0; i < 9; ++i) {
-    cluster.AddReplica(
-        i, std::make_unique<pigpaxos::PigPaxosReplica>(i, popt));
+    cluster.AddReplica(i, MakeReplica(spec, i));
   }
   auto recorder = std::make_shared<client::Recorder>();
   recorder->SetWindow(1 * kSecond, 4 * kSecond);
@@ -129,9 +129,9 @@ int main() {
   std::printf(" -----------+---------+-------------+---------\n");
   for (size_t clients : {16, 64, 256}) {
     ExperimentConfig cfg;
-    cfg.protocol = Protocol::kPigPaxos;
-    cfg.num_replicas = 9;
-    cfg.relay_groups = 2;
+    cfg.replica.protocol = Protocol::kPigPaxos;
+    cfg.replica.num_replicas = 9;
+    cfg.replica.pig.num_relay_groups = 2;
     cfg.workload.read_ratio = 0.9;
     cfg.num_clients = clients;
     cfg.seed = 42;

@@ -24,10 +24,11 @@ int main() {
   int idx = 0;
   for (Protocol proto : {Protocol::kPaxos, Protocol::kPigPaxos}) {
     ExperimentConfig cfg;
-    cfg.protocol = proto;
-    cfg.num_replicas = 9;
-    cfg.relay_groups = 3;
-    cfg.topology = Topology::kWanVaCaOr;
+    cfg.replica.protocol = proto;
+    cfg.replica.num_replicas = 9;
+    cfg.replica.pig.num_relay_groups = 3;
+    cfg.scenario.topology = Topology::kWanVaCaOr;
+    cfg.replica.pig.grouping = pigpaxos::GroupingStrategy::kRegion;
     cfg.workload.read_ratio = 0.0;  // writes only
     cfg.num_clients = 32;
     cfg.warmup = 2 * kSecond;

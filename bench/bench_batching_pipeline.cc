@@ -18,19 +18,19 @@ harness::ExperimentConfig BaseConfig(harness::Protocol proto,
                                      size_t num_replicas,
                                      size_t batch, size_t depth) {
   harness::ExperimentConfig cfg;
-  cfg.protocol = proto;
-  cfg.num_replicas = num_replicas;
-  cfg.relay_groups = 3;
+  cfg.replica.protocol = proto;
+  cfg.replica.num_replicas = num_replicas;
+  cfg.replica.pig.num_relay_groups = 3;
   cfg.num_clients = 128;
   cfg.workload.read_ratio = 0.5;
   cfg.warmup = 100 * kMillisecond;
   cfg.measure = 400 * kMillisecond;
   cfg.seed = 42;
-  cfg.batch_size = batch;
-  cfg.pipeline_depth = depth;
+  cfg.replica.paxos.batch_size = batch;
+  cfg.replica.paxos.pipeline_depth = depth;
   // Relay uplink coalescing rides along with batching: pipelined slots
   // are what give a relay several finished rounds to bundle.
-  cfg.uplink_coalesce_max = batch > 1 ? 4 : 1;
+  cfg.replica.pig.uplink_coalesce_max = batch > 1 ? 4 : 1;
   return cfg;
 }
 
@@ -82,7 +82,7 @@ BENCHMARK(BM_BatchPipelinePaxos5)
 // Uplink-coalescing ablation: batching fixed at 8/8, bundle size swept.
 void BM_UplinkCoalesce(benchmark::State& state) {
   auto cfg = BaseConfig(harness::Protocol::kPigPaxos, 25, 8, 8);
-  cfg.uplink_coalesce_max = static_cast<size_t>(state.range(0));
+  cfg.replica.pig.uplink_coalesce_max = static_cast<size_t>(state.range(0));
   uint64_t completed = 0;
   harness::RunResult r;
   for (auto _ : state) {

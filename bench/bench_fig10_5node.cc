@@ -22,9 +22,9 @@ int main() {
   for (Protocol proto :
        {Protocol::kEPaxos, Protocol::kPaxos, Protocol::kPigPaxos}) {
     ExperimentConfig cfg;
-    cfg.protocol = proto;
-    cfg.num_replicas = 5;
-    cfg.relay_groups = 2;
+    cfg.replica.protocol = proto;
+    cfg.replica.num_replicas = 5;
+    cfg.replica.pig.num_relay_groups = 2;
     cfg.seed = 42;
     auto points = LatencyThroughputSweep(cfg, loads);
     std::printf("%s\n", FormatSweep(ProtocolName(proto), points).c_str());

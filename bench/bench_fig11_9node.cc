@@ -21,17 +21,17 @@ int main() {
 
   {
     ExperimentConfig cfg;
-    cfg.protocol = Protocol::kPaxos;
-    cfg.num_replicas = 9;
+    cfg.replica.protocol = Protocol::kPaxos;
+    cfg.replica.num_replicas = 9;
     cfg.seed = 42;
     auto points = LatencyThroughputSweep(cfg, loads);
     std::printf("%s\n", FormatSweep("Paxos", points).c_str());
   }
   for (size_t groups : {2, 3}) {
     ExperimentConfig cfg;
-    cfg.protocol = Protocol::kPigPaxos;
-    cfg.num_replicas = 9;
-    cfg.relay_groups = groups;
+    cfg.replica.protocol = Protocol::kPigPaxos;
+    cfg.replica.num_replicas = 9;
+    cfg.replica.pig.num_relay_groups = groups;
     cfg.seed = 42;
     auto points = LatencyThroughputSweep(cfg, loads);
     std::printf("%s\n",

@@ -29,9 +29,9 @@ int main() {
   for (size_t payload : payloads) {
     for (Protocol proto : {Protocol::kPaxos, Protocol::kPigPaxos}) {
       ExperimentConfig cfg;
-      cfg.protocol = proto;
-      cfg.num_replicas = 25;
-      cfg.relay_groups = 3;
+      cfg.replica.protocol = proto;
+      cfg.replica.num_replicas = 25;
+      cfg.replica.pig.num_relay_groups = 3;
       cfg.num_clients = 150;           // paper: 150 clients on 3 VMs
       cfg.workload.read_ratio = 0.0;   // write-only
       cfg.workload.payload_size = payload;

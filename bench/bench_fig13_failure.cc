@@ -21,16 +21,16 @@ int main() {
       "relay group) is down from t=20s to t=40s.\n\n");
 
   ExperimentConfig cfg;
-  cfg.protocol = Protocol::kPigPaxos;
-  cfg.num_replicas = 25;
-  cfg.relay_groups = 3;
-  cfg.relay_timeout = 50 * kMillisecond;
+  cfg.replica.protocol = Protocol::kPigPaxos;
+  cfg.replica.num_replicas = 25;
+  cfg.replica.pig.num_relay_groups = 3;
+  cfg.replica.pig.relay_timeout = 50 * kMillisecond;
   cfg.num_clients = 512;  // saturating load, as in the paper
   cfg.seed = 42;
   cfg.warmup = 2 * kSecond;
   cfg.measure = 58 * kSecond;
-  cfg.crash_at = {{20 * kSecond, 20}};
-  cfg.recover_at = {{40 * kSecond, 20}};
+  cfg.scenario.schedule = {CrashEvent(20 * kSecond, 20),
+                           RecoverEvent(40 * kSecond, 20)};
 
   RunResult res = RunExperiment(cfg);
 
@@ -55,9 +55,10 @@ int main() {
   const double delta = (faulty / healthy - 1.0) * 100.0;
   std::printf(
       "\nHealthy-period avg: %.0f req/s; failure-period avg: %.0f req/s "
-      "(%+.1f%% change).\nPaper: ~3%% decline — the two healthy relay "
-      "groups still deliver the majority, so\nthe impact stays within a "
-      "few percent either way (see EXPERIMENTS.md on the sign).\n",
+      "(%+.1f%% change).\nPaper: ~3%% decline. This simulator measures "
+      "+2.3%% at seed 42, a small rise\ninstead: the two healthy relay "
+      "groups still deliver the majority, so the\nimpact stays within a "
+      "few percent but its sign differs from the paper's.\n",
       healthy, faulty, delta);
   return 0;
 }

@@ -24,9 +24,9 @@ int main() {
   size_t best_r = 0;
   for (size_t groups = 2; groups <= 6; ++groups) {
     ExperimentConfig cfg;
-    cfg.protocol = Protocol::kPigPaxos;
-    cfg.num_replicas = 25;
-    cfg.relay_groups = groups;
+    cfg.replica.protocol = Protocol::kPigPaxos;
+    cfg.replica.num_replicas = 25;
+    cfg.replica.pig.num_relay_groups = groups;
     cfg.seed = 42;
     cfg.num_clients = 512;  // saturating load
     cfg.warmup = 1 * kSecond;

@@ -24,9 +24,9 @@ int main() {
   for (Protocol proto :
        {Protocol::kEPaxos, Protocol::kPaxos, Protocol::kPigPaxos}) {
     ExperimentConfig cfg;
-    cfg.protocol = proto;
-    cfg.num_replicas = 25;
-    cfg.relay_groups = 3;
+    cfg.replica.protocol = proto;
+    cfg.replica.num_replicas = 25;
+    cfg.replica.pig.num_relay_groups = 3;
     cfg.workload.read_ratio = 0.5;
     cfg.warmup = 1 * kSecond;
     cfg.measure = 3 * kSecond;

@@ -22,10 +22,11 @@ int main() {
   const std::vector<size_t> loads = {8, 16, 32, 64, 128, 256, 512, 1024};
   for (Protocol proto : {Protocol::kPaxos, Protocol::kPigPaxos}) {
     ExperimentConfig cfg;
-    cfg.protocol = proto;
-    cfg.num_replicas = 15;
-    cfg.relay_groups = 3;  // one per region (kRegion grouping in harness)
-    cfg.topology = Topology::kWanVaCaOr;
+    cfg.replica.protocol = proto;
+    cfg.replica.num_replicas = 15;
+    cfg.replica.pig.num_relay_groups = 3;  // one per region
+    cfg.replica.pig.grouping = pigpaxos::GroupingStrategy::kRegion;
+    cfg.scenario.topology = Topology::kWanVaCaOr;
     cfg.seed = 42;
     cfg.warmup = 2 * kSecond;
     cfg.measure = 4 * kSecond;

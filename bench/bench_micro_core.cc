@@ -149,9 +149,9 @@ BENCHMARK(BM_NetworkTransfer);
 // simulator events per wall-clock second, the number the bench gate pins.
 void BM_ClusterFig8Events(benchmark::State& state) {
   harness::ExperimentConfig cfg;
-  cfg.protocol = harness::Protocol::kPigPaxos;
-  cfg.num_replicas = 25;
-  cfg.relay_groups = 3;
+  cfg.replica.protocol = harness::Protocol::kPigPaxos;
+  cfg.replica.num_replicas = 25;
+  cfg.replica.pig.num_relay_groups = 3;
   cfg.num_clients = 32;
   cfg.workload.read_ratio = 0.5;
   cfg.warmup = 100 * kMillisecond;

@@ -42,9 +42,9 @@ ScenarioSpec WanChaosSpec() {
 
 harness::ExperimentConfig SweepBase(TimeNs measure) {
   harness::ExperimentConfig cfg;
-  cfg.num_replicas = 9;
+  cfg.replica.num_replicas = 9;
   cfg.num_clients = 24;
-  cfg.relay_groups = 3;
+  cfg.replica.pig.num_relay_groups = 3;
   cfg.workload.read_ratio = 0.5;
   cfg.warmup = 200 * kMillisecond;
   cfg.measure = measure;
@@ -84,8 +84,8 @@ BENCHMARK(BM_ScenarioSweepSmoke)->Unit(benchmark::kMillisecond);
 /// bench_batching_pipeline.
 void BM_RingFig8(benchmark::State& state) {
   harness::ExperimentConfig cfg;
-  cfg.protocol = Protocol::kRing;
-  cfg.num_replicas = 25;
+  cfg.replica.protocol = Protocol::kRing;
+  cfg.replica.num_replicas = 25;
   cfg.num_clients = 128;
   cfg.workload.read_ratio = 0.5;
   cfg.warmup = 100 * kMillisecond;
@@ -127,11 +127,13 @@ void BM_AdversarialSweep(benchmark::State& state) {
       harness::ClockSkewEvent(1000 * kMillisecond, 3, 1.0),
   };
   harness::ExperimentConfig cfg = SweepBase(800 * kMillisecond);
-  cfg.protocol = Protocol::kPigPaxos;
+  cfg.replica.protocol = Protocol::kPigPaxos;
+  cfg.replica.pig.grouping = pigpaxos::GroupingStrategy::kRegion;
+  cfg.scenario = spec;
   uint64_t completed = 0;
   harness::RunResult r;
   for (auto _ : state) {
-    r = RunScenario(spec, cfg);
+    r = harness::RunExperiment(cfg);
     completed += r.completed;
   }
   state.SetItemsProcessed(static_cast<int64_t>(completed));

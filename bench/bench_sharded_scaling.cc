@@ -19,10 +19,10 @@ namespace {
 
 harness::ExperimentConfig ShardedConfig(size_t num_groups) {
   harness::ExperimentConfig cfg;
-  cfg.protocol = harness::Protocol::kPigPaxos;
-  cfg.num_replicas = 25;
-  cfg.relay_groups = 3;
-  cfg.num_groups = num_groups;
+  cfg.replica.protocol = harness::Protocol::kPigPaxos;
+  cfg.replica.num_replicas = 25;
+  cfg.replica.pig.num_relay_groups = 3;
+  cfg.replica.num_groups = num_groups;
   // Enough closed-loop clients to saturate 16 groups; identical offered
   // load across rows so the sweep isolates the group count.
   cfg.num_clients = 2048;
@@ -31,9 +31,9 @@ harness::ExperimentConfig ShardedConfig(size_t num_groups) {
   // relay uplink coalescing. Amortizing the per-slot fan-out is also
   // what keeps follower-side replication work (paid by every node for
   // every group) from eating the multi-leader win.
-  cfg.batch_size = 16;
-  cfg.pipeline_depth = 8;
-  cfg.uplink_coalesce_max = 8;
+  cfg.replica.paxos.batch_size = 16;
+  cfg.replica.paxos.pipeline_depth = 8;
+  cfg.replica.pig.uplink_coalesce_max = 8;
   cfg.warmup = 100 * kMillisecond;
   cfg.measure = 400 * kMillisecond;
   cfg.seed = 42;

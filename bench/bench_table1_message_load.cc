@@ -21,9 +21,9 @@ namespace {
 /// simulated run with heartbeats/elections quiesced.
 std::pair<double, double> MeasuredLoad(Protocol proto, size_t n, size_t r) {
   ExperimentConfig cfg;
-  cfg.protocol = proto;
-  cfg.num_replicas = n;
-  cfg.relay_groups = r;
+  cfg.replica.protocol = proto;
+  cfg.replica.num_replicas = n;
+  cfg.replica.pig.num_relay_groups = r;
   cfg.num_clients = 4;  // light load: per-request accounting, no queueing
   cfg.warmup = 500 * kMillisecond;
   cfg.measure = 2 * kSecond;

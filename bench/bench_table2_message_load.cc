@@ -26,9 +26,9 @@ int main() {
   for (const auto& row : rows) {
     const bool is_paxos = row.relay_groups == n - 1;
     ExperimentConfig cfg;
-    cfg.protocol = is_paxos ? Protocol::kPaxos : Protocol::kPigPaxos;
-    cfg.num_replicas = n;
-    cfg.relay_groups = row.relay_groups;
+    cfg.replica.protocol = is_paxos ? Protocol::kPaxos : Protocol::kPigPaxos;
+    cfg.replica.num_replicas = n;
+    cfg.replica.pig.num_relay_groups = row.relay_groups;
     cfg.num_clients = 4;
     cfg.warmup = 500 * kMillisecond;
     cfg.measure = 2 * kSecond;

@@ -14,8 +14,8 @@
 #include <string>
 
 #include "harness/local_cluster.h"
+#include "harness/replica_spec.h"
 #include "pigpaxos/messages.h"
-#include "pigpaxos/replica.h"
 #include "runtime/thread_cluster.h"
 
 namespace pig {
@@ -24,22 +24,19 @@ namespace {
 constexpr int kNodes = 9;
 constexpr int kOps = 300;
 
-std::unique_ptr<Actor> MakeReplica(NodeId id) {
-  pigpaxos::PigPaxosOptions opt;
-  opt.paxos.num_replicas = kNodes;
-  opt.num_relay_groups = 3;
-  return std::make_unique<pigpaxos::PigPaxosReplica>(id, opt);
-}
-
 void BM_TcpFig8Shape(benchmark::State& state) {
   pigpaxos::RegisterPigPaxosMessages();
+  harness::ReplicaSpec spec;
+  spec.protocol = harness::Protocol::kPigPaxos;
+  spec.num_replicas = kNodes;
+  spec.pig.num_relay_groups = 3;
   int64_t committed = 0;
   int64_t verified = 0;
   for (auto _ : state) {
     harness::LocalCluster cluster(harness::LocalRuntime::kTcp,
                                   /*seed=*/42);
     for (NodeId i = 0; i < kNodes; ++i) {
-      cluster.AddActor(i, MakeReplica(i));
+      cluster.AddActor(i, harness::MakeReplica(spec, i));
     }
     auto client = std::make_unique<runtime::SyncClient>(kNodes);
     runtime::SyncClient* kv = client.get();

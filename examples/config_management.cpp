@@ -23,9 +23,9 @@ void Scenario(const char* title, size_t payload, double read_ratio) {
       " ----------+------------------------+---------+--------\n");
   for (Protocol proto : {Protocol::kPaxos, Protocol::kPigPaxos}) {
     ExperimentConfig cfg;
-    cfg.protocol = proto;
-    cfg.num_replicas = 25;
-    cfg.relay_groups = 3;
+    cfg.replica.protocol = proto;
+    cfg.replica.num_replicas = 25;
+    cfg.replica.pig.num_relay_groups = 3;
     cfg.workload.payload_size = payload;
     cfg.workload.read_ratio = read_ratio;
     cfg.workload.num_keys = 200;  // config keys, not a huge keyspace

@@ -4,6 +4,7 @@
 #include <cstdio>
 
 #include "client/closed_loop_client.h"
+#include "harness/replica_spec.h"
 #include "pigpaxos/replica.h"
 #include "sim/cluster.h"
 
@@ -30,17 +31,17 @@ int main() {
   copt.seed = 11;
   sim::Cluster cluster(copt);
 
-  pigpaxos::PigPaxosOptions options;
-  options.paxos.num_replicas = kNodes;
-  options.num_relay_groups = 2;
-  options.relay_timeout = 20 * kMillisecond;
+  harness::ReplicaSpec spec;
+  spec.protocol = harness::Protocol::kPigPaxos;
+  spec.num_replicas = kNodes;
+  spec.pig.num_relay_groups = 2;
+  spec.pig.relay_timeout = 20 * kMillisecond;
   // §4.2 partial responses: with g_i = 3 per group (2*3 + leader >= the
   // majority of 5), commits do not wait out the relay timeout even when
   // every group contains a crashed member.
-  options.group_response_threshold = 3;
+  spec.pig.group_response_threshold = 3;
   for (NodeId id = 0; id < kNodes; ++id) {
-    cluster.AddReplica(
-        id, std::make_unique<pigpaxos::PigPaxosReplica>(id, options));
+    cluster.AddReplica(id, harness::MakeReplica(spec, id));
   }
 
   auto recorder = std::make_shared<client::Recorder>();

@@ -16,10 +16,11 @@ namespace {
 
 void RunOne(Protocol proto) {
   ExperimentConfig cfg;
-  cfg.protocol = proto;
-  cfg.num_replicas = 9;
-  cfg.relay_groups = 3;  // one per region
-  cfg.topology = Topology::kWanVaCaOr;
+  cfg.replica.protocol = proto;
+  cfg.replica.num_replicas = 9;
+  cfg.replica.pig.num_relay_groups = 3;  // one per region
+  cfg.scenario.topology = Topology::kWanVaCaOr;
+  cfg.replica.pig.grouping = pigpaxos::GroupingStrategy::kRegion;
   cfg.workload.read_ratio = 0.0;
   cfg.num_clients = 16;
   cfg.warmup = 1 * kSecond;

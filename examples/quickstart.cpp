@@ -12,8 +12,8 @@
 #include <cstring>
 
 #include "harness/local_cluster.h"
+#include "harness/replica_spec.h"
 #include "pigpaxos/messages.h"
-#include "pigpaxos/replica.h"
 #include "runtime/thread_cluster.h"
 
 using namespace pig;
@@ -32,12 +32,12 @@ int main(int argc, char** argv) {
 
   // Five replicas, two relay groups (the best small-cluster setting per
   // the paper's Fig. 10).
-  pigpaxos::PigPaxosOptions options;
-  options.paxos.num_replicas = kNodes;
-  options.num_relay_groups = 2;
+  harness::ReplicaSpec spec;
+  spec.protocol = harness::Protocol::kPigPaxos;
+  spec.num_replicas = kNodes;
+  spec.pig.num_relay_groups = 2;
   for (NodeId id = 0; id < kNodes; ++id) {
-    cluster.AddActor(
-        id, std::make_unique<pigpaxos::PigPaxosReplica>(id, options));
+    cluster.AddActor(id, harness::MakeReplica(spec, id));
   }
 
   // One blocking client.

@@ -35,9 +35,9 @@ int main(int argc, char** argv) {
   const size_t max_groups = std::min<size_t>(6, n - 1);
   for (size_t r = 1; r <= max_groups; ++r) {
     ExperimentConfig cfg;
-    cfg.protocol = Protocol::kPigPaxos;
-    cfg.num_replicas = n;
-    cfg.relay_groups = r;
+    cfg.replica.protocol = Protocol::kPigPaxos;
+    cfg.replica.num_replicas = n;
+    cfg.replica.pig.num_relay_groups = r;
     cfg.num_clients = 256;
     cfg.warmup = 500 * kMillisecond;
     cfg.measure = 2 * kSecond;

@@ -34,15 +34,17 @@ int main() {
   for (Protocol proto :
        {Protocol::kPaxos, Protocol::kPigPaxos, Protocol::kRing}) {
     ExperimentConfig cfg;
-    cfg.protocol = proto;
-    cfg.num_replicas = 9;
-    cfg.relay_groups = 3;  // one per region (PigPaxos)
+    cfg.replica.protocol = proto;
+    cfg.replica.num_replicas = 9;
+    cfg.replica.pig.num_relay_groups = 3;  // one per region (PigPaxos)
+    cfg.replica.pig.grouping = pigpaxos::GroupingStrategy::kRegion;
+    cfg.scenario = spec;
     cfg.num_clients = 16;
     cfg.workload.read_ratio = 0.5;
     cfg.warmup = 200 * kMillisecond;
     cfg.measure = 3500 * kMillisecond;
     cfg.seed = 2026;
-    RunResult res = RunScenario(spec, cfg);
+    RunResult res = RunExperiment(cfg);
     std::printf("%-9s %12.1f %9.2f %9.2f %11llu %10llu\n",
                 ProtocolName(proto).c_str(), res.throughput, res.p50_ms,
                 res.p99_ms,

@@ -84,25 +84,54 @@ void EPaxosReplica::OnMessage(NodeId from, const MessagePtr& msg) {
     case MsgType::kClientRequest:
       HandleClientRequest(from, static_cast<const ClientRequest&>(*msg));
       return;
-    case MsgType::kPreAccept:
-      HandlePreAccept(from, static_cast<const PreAccept&>(*msg));
+    case MsgType::kPreAccept: {
+      const auto& m = static_cast<const PreAccept&>(*msg);
+      if (InCluster(*msg, m.inst, &m.deps)) HandlePreAccept(from, m);
       return;
-    case MsgType::kPreAcceptReply:
-      HandlePreAcceptReply(static_cast<const PreAcceptReply&>(*msg));
+    }
+    case MsgType::kPreAcceptReply: {
+      const auto& m = static_cast<const PreAcceptReply&>(*msg);
+      if (InCluster(*msg, m.inst, &m.deps)) HandlePreAcceptReply(m);
       return;
-    case MsgType::kEAccept:
-      HandleEAccept(from, static_cast<const EAccept&>(*msg));
+    }
+    case MsgType::kEAccept: {
+      const auto& m = static_cast<const EAccept&>(*msg);
+      if (InCluster(*msg, m.inst, &m.deps)) HandleEAccept(from, m);
       return;
-    case MsgType::kEAcceptReply:
-      HandleEAcceptReply(static_cast<const EAcceptReply&>(*msg));
+    }
+    case MsgType::kEAcceptReply: {
+      const auto& m = static_cast<const EAcceptReply&>(*msg);
+      if (InCluster(*msg, m.inst, nullptr)) HandleEAcceptReply(m);
       return;
-    case MsgType::kECommit:
-      HandleECommit(static_cast<const ECommit&>(*msg));
+    }
+    case MsgType::kECommit: {
+      const auto& m = static_cast<const ECommit&>(*msg);
+      if (InCluster(*msg, m.inst, &m.deps)) HandleECommit(m);
       return;
+    }
     default:
       PIG_LOG(kWarn) << "epaxos " << id_ << ": unexpected "
                      << msg->DebugString();
   }
+}
+
+bool EPaxosReplica::InCluster(const Message& msg, const InstanceId& inst,
+                              const DepSet* deps) const {
+  // instances_ is indexed by owner replica: an id outside the cluster
+  // from a buggy or hostile peer must never reach Materialize or
+  // FindInstance.
+  auto in = [this](const InstanceId& id) {
+    return id.replica < options_.num_replicas;
+  };
+  if (in(inst) &&
+      (deps == nullptr || std::all_of(deps->begin(), deps->end(), in))) {
+    return true;
+  }
+  PIG_LOG(kWarn) << "epaxos " << id_
+                 << ": dropped message naming a replica outside the "
+                    "cluster: "
+                 << msg.DebugString();
+  return false;
 }
 
 void EPaxosReplica::Broadcast(const MessagePtr& msg) {

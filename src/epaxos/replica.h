@@ -6,9 +6,10 @@
 // so most commands take the slow path and dependency graphs grow — the
 // behaviour responsible for EPaxos's early saturation.
 //
-// Simplification (documented in DESIGN.md §6): explicit-prepare recovery
-// after a command-leader crash is not implemented; the paper's evaluation
-// never crashes EPaxos nodes.
+// Simplification: explicit-prepare recovery after a command-leader crash
+// is not implemented, because the paper's evaluation never crashes EPaxos
+// nodes. The conformance matrix therefore runs EPaxos rows under delivery
+// faults only (duplication, reordering, one-way partitions, clock skew).
 #pragma once
 
 #include <cstdint>
@@ -157,6 +158,10 @@ class EPaxosReplica : public Actor {
   void RecordAttributes(const InstanceId& id, const Command& cmd,
                         uint64_t seq);
 
+  /// True when `inst` and every entry of `deps` (may be null) name a
+  /// replica inside the cluster; logs and returns false otherwise.
+  bool InCluster(const Message& msg, const InstanceId& inst,
+                 const DepSet* deps) const;
   Instance& Materialize(const InstanceId& id);
   void CommitInstance(const InstanceId& id, const Command& cmd,
                       uint64_t seq, const DepSet& deps, bool broadcast);

@@ -1,4 +1,5 @@
-// Calibration notes for the simulated CPU model (see DESIGN.md).
+// Calibration notes for the simulated CPU model; this header is their
+// only home, next to the bench setting they justify.
 //
 // The paper measured ~2000 req/s for a saturated 25-node Multi-Paxos
 // leader on m5a.large (2 vCPU). Per its own §6.1 model the leader handles

@@ -1,150 +1,28 @@
 #include "harness/experiment.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cstdio>
 
-#include "common/logging.h"
+#include "harness/scenario.h"
 #include "shard/sharded_node.h"
 
 namespace pig::harness {
 
-std::string ProtocolName(Protocol p) {
-  switch (p) {
-    case Protocol::kPaxos:
-      return "Paxos";
-    case Protocol::kPigPaxos:
-      return "PigPaxos";
-    case Protocol::kEPaxos:
-      return "EPaxos";
-    case Protocol::kRing:
-      return "Ring";
-  }
-  return "?";
-}
-
-int WanRegionOfNode(NodeId node, size_t num_replicas) {
-  const size_t per_region = (num_replicas + 2) / 3;
-  size_t region = node / per_region;
-  return static_cast<int>(std::min<size_t>(region, 2));
-}
-
-namespace {
-
-std::shared_ptr<net::RegionalLatency> BuildWanTopology(
-    const ExperimentConfig& config) {
-  auto topo = net::MakeVaCaOrTopology();
-  for (NodeId n = 0; n < config.num_replicas; ++n) {
-    topo->AssignRegion(n, WanRegionOfNode(n, config.num_replicas));
-  }
-  // Clients are colocated with the leader's region (default region 0 =
-  // Virginia), matching the paper's setup.
-  return topo;
-}
-
-paxos::PaxosOptions MakePaxosOptions(const ExperimentConfig& config) {
-  paxos::PaxosOptions opt;
-  opt.num_replicas = config.num_replicas;
-  if (config.flexible_q1 > 0 && config.flexible_q2 > 0) {
-    opt.quorum = std::make_shared<pig::FlexibleQuorum>(
-        config.num_replicas, config.flexible_q1, config.flexible_q2);
-  }
-  opt.batch_size = config.batch_size;
-  opt.batch_timeout = config.batch_timeout;
-  opt.pipeline_depth = config.pipeline_depth;
-  return opt;
-}
-
-}  // namespace
-
 RunResult RunExperiment(const ExperimentConfig& config) {
-  assert(config.num_replicas >= 1);
-  const size_t num_groups = std::max<size_t>(1, config.num_groups);
-  // Sharding multiplexes leader-based groups; EPaxos/Ring have their own
-  // scaling story and stay single-group.
-  assert(num_groups == 1 || config.protocol == Protocol::kPaxos ||
-         config.protocol == Protocol::kPigPaxos);
+  const ReplicaSpec& spec = config.replica;
+  const size_t num_groups = std::max<uint32_t>(1, spec.num_groups);
 
   sim::ClusterOptions copt;
   copt.seed = config.seed;
   copt.replica_cpu = config.replica_cpu;
   copt.network.drop_probability = config.drop_probability;
-  std::shared_ptr<net::RegionalLatency> wan;
-  if (config.topology == Topology::kWanVaCaOr) {
-    wan = BuildWanTopology(config);
-    copt.network.latency = wan;
-  }
-  // A scenario-supplied model (e.g. WAN wrapped in a gray-slowdown
-  // decorator) wins over the plain topology default.
-  if (config.latency_override) copt.network.latency = config.latency_override;
+  const ScenarioRuntime scenario =
+      PrepareScenario(config.scenario, spec.num_replicas);
+  if (scenario.latency) copt.network.latency = scenario.latency;
 
   sim::Cluster cluster(copt);
-
-  // --- Replicas ---------------------------------------------------------
-  // Builds one consensus-group replica. Group g bootstraps its leader on
-  // node g % N (leader spreading); group 0 keeps the historical node-0
-  // bootstrap, so single-group runs are unchanged.
-  auto make_group_replica = [&config](NodeId id, uint32_t group)
-      -> std::unique_ptr<pig::Actor> {
-    paxos::PaxosOptions base = MakePaxosOptions(config);
-    base.bootstrap_leader =
-        static_cast<NodeId>(group % config.num_replicas);
-    if (config.protocol == Protocol::kPaxos) {
-      return std::make_unique<paxos::PaxosReplica>(id, base);
-    }
-    pigpaxos::PigPaxosOptions popt;
-    popt.paxos = base;
-    popt.num_relay_groups = config.relay_groups;
-    popt.group_overlap = config.group_overlap;
-    popt.relay_timeout = config.relay_timeout;
-    popt.group_response_threshold = config.group_response_threshold;
-    popt.relay_layers = config.relay_layers;
-    popt.reshuffle_interval = config.reshuffle_interval;
-    popt.uplink_coalesce_max = config.uplink_coalesce_max;
-    popt.uplink_flush_delay = config.uplink_flush_delay;
-    if (config.topology == Topology::kWanVaCaOr && config.region_grouping) {
-      // One relay group per region (§6.4).
-      popt.grouping = pigpaxos::GroupingStrategy::kRegion;
-      const size_t n = config.num_replicas;
-      popt.region_of = [n](NodeId node) {
-        return WanRegionOfNode(node, n);
-      };
-    }
-    return std::make_unique<pigpaxos::PigPaxosReplica>(id, popt);
-  };
-
-  for (NodeId id = 0; id < config.num_replicas; ++id) {
-    if (num_groups > 1) {
-      auto node = std::make_unique<shard::ShardedNode>(num_groups);
-      for (uint32_t g = 0; g < num_groups; ++g) {
-        node->AddGroup(make_group_replica(id, g));
-      }
-      cluster.AddReplica(id, std::move(node));
-      continue;
-    }
-    switch (config.protocol) {
-      case Protocol::kPaxos:
-      case Protocol::kPigPaxos: {
-        cluster.AddReplica(id, make_group_replica(id, 0));
-        break;
-      }
-      case Protocol::kEPaxos: {
-        epaxos::EPaxosOptions eopt;
-        eopt.num_replicas = config.num_replicas;
-        cluster.AddReplica(
-            id, std::make_unique<epaxos::EPaxosReplica>(id, eopt));
-        break;
-      }
-      case Protocol::kRing: {
-        baselines::RingOptions ropt;
-        ropt.paxos = MakePaxosOptions(config);
-        ropt.ring_ack_timeout = config.ring_ack_timeout;
-        ropt.fallback_duration = config.ring_fallback_duration;
-        cluster.AddReplica(
-            id, std::make_unique<baselines::RingReplica>(id, ropt));
-        break;
-      }
-    }
+  for (NodeId id = 0; id < spec.num_replicas; ++id) {
+    cluster.AddReplica(id, MakeNode(spec, id));
   }
 
   // --- Clients ------------------------------------------------------------
@@ -153,9 +31,9 @@ RunResult RunExperiment(const ExperimentConfig& config) {
   for (size_t i = 0; i < config.num_clients; ++i) {
     client::ClientConfig ccfg;
     ccfg.workload = config.workload;
-    ccfg.num_replicas = config.num_replicas;
+    ccfg.num_replicas = spec.num_replicas;
     ccfg.initial_target = 0;
-    ccfg.target_policy = config.protocol == Protocol::kEPaxos
+    ccfg.target_policy = spec.protocol == Protocol::kEPaxos
                              ? client::TargetPolicy::kRandomReplica
                              : client::TargetPolicy::kFixedLeader;
     ccfg.num_groups = static_cast<uint32_t>(num_groups);
@@ -167,13 +45,7 @@ RunResult RunExperiment(const ExperimentConfig& config) {
         std::make_unique<client::ClosedLoopClient>(ccfg, recorder));
   }
 
-  for (const auto& [when, node] : config.crash_at) {
-    cluster.CrashAt(when, node);
-  }
-  for (const auto& [when, node] : config.recover_at) {
-    cluster.RecoverAt(when, node);
-  }
-  if (config.customize) config.customize(cluster);
+  ScheduleScenario(config.scenario, scenario, cluster);
 
   cluster.Start();
 
@@ -198,7 +70,7 @@ RunResult RunExperiment(const ExperimentConfig& config) {
   const double requests = std::max<double>(1.0, (double)recorder->completed());
   // Sums one hosted replica's protocol counters into the result; in
   // sharded runs this runs once per (node, group).
-  auto accumulate_counters = [&result, &config](const pig::Actor* actor) {
+  auto accumulate_counters = [&result, &spec](const pig::Actor* actor) {
     const auto* rep = static_cast<const paxos::PaxosReplica*>(actor);
     result.elections_started += rep->metrics().elections_started;
     result.propose_retries += rep->metrics().propose_retries;
@@ -207,7 +79,7 @@ RunResult RunExperiment(const ExperimentConfig& config) {
     result.batched_commands += rep->metrics().batched_commands;
     result.batch_timeout_flushes += rep->metrics().batch_timeout_flushes;
     result.pipeline_stalls += rep->metrics().pipeline_stalls;
-    if (config.protocol == Protocol::kPigPaxos) {
+    if (spec.protocol == Protocol::kPigPaxos) {
       const auto* pig =
           static_cast<const pigpaxos::PigPaxosReplica*>(actor);
       result.relay_timeouts += pig->relay_metrics().relay_timeouts;
@@ -216,20 +88,20 @@ RunResult RunExperiment(const ExperimentConfig& config) {
       result.reshuffles += pig->relay_metrics().reshuffles;
       result.uplink_bundles += pig->relay_metrics().uplink_bundles;
       result.uplink_coalesced += pig->relay_metrics().uplink_coalesced;
-    } else if (config.protocol == Protocol::kRing) {
+    } else if (spec.protocol == Protocol::kRing) {
       const auto* ring = static_cast<const baselines::RingReplica*>(actor);
       result.ring_rounds_completed += ring->ring_metrics().rounds_completed;
       result.ring_timeouts += ring->ring_metrics().ring_timeouts;
       result.ring_fallback_fanouts += ring->ring_metrics().fallback_fanouts;
     }
   };
-  for (NodeId id = 0; id < config.num_replicas; ++id) {
+  for (NodeId id = 0; id < spec.num_replicas; ++id) {
     const net::TrafficStats& s = cluster.network().StatsFor(id);
     result.msgs_per_request.push_back(
         static_cast<double>(s.msgs_sent + s.msgs_received) / requests);
     result.cpu_utilization.push_back(
         cluster.CpuUtilization(id, config.measure));
-    if (config.protocol != Protocol::kEPaxos) {
+    if (spec.protocol != Protocol::kEPaxos) {
       if (num_groups > 1) {
         const auto* node =
             static_cast<const shard::ShardedNode*>(cluster.actor(id));

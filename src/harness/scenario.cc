@@ -9,20 +9,12 @@
 
 namespace pig::harness {
 
-bool ScenarioSpec::HasGrayEvents() const {
-  for (const FaultEvent& e : schedule) {
-    if (e.kind == FaultKind::kGraySlowStart ||
-        e.kind == FaultKind::kGraySlowEnd) {
-      return true;
-    }
-  }
-  return false;
-}
-
 ScenarioRuntime PrepareScenario(const ScenarioSpec& spec,
                                 size_t num_replicas) {
   ScenarioRuntime rt;
   if (spec.topology == Topology::kWanVaCaOr) {
+    // Clients keep the default region 0 (Virginia), colocated with the
+    // bootstrap leader as in the paper's setup.
     auto topo = net::MakeVaCaOrTopology();
     for (NodeId n = 0; n < num_replicas; ++n) {
       topo->AssignRegion(n, WanRegionOfNode(n, num_replicas));
@@ -203,22 +195,6 @@ void HealScenario(const ScenarioSpec& spec, const ScenarioRuntime& rt,
   }
 }
 
-void ApplyScenario(const ScenarioSpec& spec, ExperimentConfig& config) {
-  config.topology = spec.topology;
-  ScenarioRuntime rt = PrepareScenario(spec, config.num_replicas);
-  if (rt.latency) config.latency_override = rt.latency;
-  auto prev = std::move(config.customize);
-  config.customize = [spec, rt, prev = std::move(prev)](sim::Cluster& cl) {
-    if (prev) prev(cl);
-    ScheduleScenario(spec, rt, cl);
-  };
-}
-
-RunResult RunScenario(const ScenarioSpec& spec, ExperimentConfig config) {
-  ApplyScenario(spec, config);
-  return RunExperiment(config);
-}
-
 // ---------------------------------------------------------------------------
 // Sweeps
 
@@ -250,19 +226,26 @@ SweepRow RunOneRow(const ScenarioSpec& spec, const ExperimentConfig& base,
   row.label = RowLabel(row);
 
   ExperimentConfig cfg = base;
-  cfg.protocol = protocol;
-  cfg.flexible_q1 = quorum.first;
-  cfg.flexible_q2 = quorum.second;
+  cfg.scenario = spec;
+  ReplicaSpec& rs = cfg.replica;
+  rs.protocol = protocol;
+  rs.paxos.quorum = nullptr;  // (0, 0): classic majority
+  if (quorum.first > 0 && quorum.second > 0) {
+    rs.paxos.quorum = std::make_shared<FlexibleQuorum>(
+        rs.num_replicas, quorum.first, quorum.second);
+  }
   if (protocol == Protocol::kPigPaxos) {
-    cfg.relay_groups = groups;
-    cfg.group_overlap = overlap;
-    cfg.uplink_coalesce_max = coalesce;
+    rs.pig.num_relay_groups = groups;
+    rs.pig.group_overlap = overlap;
+    rs.pig.uplink_coalesce_max = coalesce;
     // On WAN, only a group count matching the region count can be
     // region-aligned; other counts sweep region-oblivious contiguous
     // trees so the axis actually varies the tree shape.
-    cfg.region_grouping = groups == 3;
+    rs.pig.grouping = spec.topology == Topology::kWanVaCaOr && groups == 3
+                          ? pigpaxos::GroupingStrategy::kRegion
+                          : pigpaxos::GroupingStrategy::kContiguous;
   }
-  row.result = RunScenario(spec, std::move(cfg));
+  row.result = RunExperiment(cfg);
   return row;
 }
 
@@ -273,7 +256,7 @@ SweepReport RunScenarioSweep(const ScenarioSpec& spec, const SweepAxes& axes,
   SweepReport report;
   report.scenario = spec.name;
   report.seed = base.seed;
-  report.num_replicas = base.num_replicas;
+  report.num_replicas = base.replica.num_replicas;
   for (Protocol protocol : axes.protocols) {
     for (const auto& quorum : axes.quorums) {
       if (protocol != Protocol::kPigPaxos) {

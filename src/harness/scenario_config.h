@@ -1,6 +1,6 @@
 // JSON loading/saving for ScenarioSpec: checked-in chaos scenarios under
 // scenarios/*.json drive the same scripted fault schedules as the
-// programmatic factories in harness/scenario.h.
+// programmatic factories in harness/scenario_spec.h.
 //
 // Schema (all times accepted as "<field>_ns" integers or "<field>_ms"
 // numbers; the serializer always emits _ns so a round trip is lossless):
@@ -31,7 +31,7 @@
 #include <string>
 
 #include "common/status.h"
-#include "harness/scenario.h"
+#include "harness/scenario_spec.h"
 
 namespace pig::harness {
 

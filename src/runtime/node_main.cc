@@ -27,15 +27,12 @@
 
 #include "common/logging.h"
 #include "epaxos/messages.h"
+#include "harness/replica_spec.h"
 #include "harness/scenario_config.h"
-#include "epaxos/replica.h"
-#include "paxos/replica.h"
 #include "pigpaxos/messages.h"
-#include "pigpaxos/replica.h"
 #include "runtime/tcp_cluster.h"
 #include "runtime/thread_cluster.h"
 #include "shard/messages.h"
-#include "shard/sharded_node.h"
 #include "storage/file_storage.h"
 
 namespace {
@@ -48,9 +45,9 @@ struct Args {
   bool client = false;
   std::vector<std::pair<std::string, uint16_t>> peers;
   std::string protocol = "pigpaxos";
-  uint32_t relay_groups = 3;
-  /// Consensus groups sharding the keyspace (shard/); 1 = unsharded.
-  uint32_t num_groups = 1;
+  /// --protocol, --relay-groups, --num-groups and --snapshot-interval;
+  /// num_replicas comes from the --peers count.
+  pig::harness::ReplicaSpec spec;
   int ops = 100;
   /// Client-only: pause between commands. Fault-injection runs use this
   /// to stretch the workload across a scripted kill/restart window.
@@ -64,8 +61,6 @@ struct Args {
   /// simulator harness and the conformance matrix, and a node that
   /// rejects it fails fast before any process in the pack launches.
   std::string scenario_file;
-  /// Executed slots between durable snapshots when --data-dir is set.
-  size_t snapshot_interval = 4096;
 };
 
 bool ParsePeers(const std::string& csv, Args* args) {
@@ -85,6 +80,8 @@ bool ParsePeers(const std::string& csv, Args* args) {
 }
 
 bool ParseArgs(int argc, char** argv, Args* args) {
+  // Executed slots between durable snapshots when --data-dir is set.
+  args->spec.paxos.snapshot_interval = 4096;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     auto value = [&arg](const char* flag) -> const char* {
@@ -100,10 +97,10 @@ bool ParseArgs(int argc, char** argv, Args* args) {
     } else if (const char* v2 = value("--protocol=")) {
       args->protocol = v2;
     } else if (const char* v3 = value("--relay-groups=")) {
-      args->relay_groups = static_cast<uint32_t>(std::atoi(v3));
+      args->spec.pig.num_relay_groups = static_cast<size_t>(std::atoi(v3));
     } else if (const char* vg = value("--num-groups=")) {
-      args->num_groups = static_cast<uint32_t>(std::atoi(vg));
-      if (args->num_groups == 0) return false;
+      args->spec.num_groups = static_cast<uint32_t>(std::atoi(vg));
+      if (args->spec.num_groups == 0) return false;
     } else if (const char* v4 = value("--ops=")) {
       args->ops = std::atoi(v4);
     } else if (const char* vd = value("--op-delay-ms=")) {
@@ -113,7 +110,8 @@ bool ParseArgs(int argc, char** argv, Args* args) {
     } else if (const char* vdd = value("--data-dir=")) {
       args->data_dir = vdd;
     } else if (const char* vsi = value("--snapshot-interval=")) {
-      args->snapshot_interval = static_cast<size_t>(std::atoll(vsi));
+      args->spec.paxos.snapshot_interval =
+          static_cast<size_t>(std::atoll(vsi));
     } else if (const char* vsc = value("--scenario=")) {
       args->scenario_file = vsc;
     } else {
@@ -123,97 +121,54 @@ bool ParseArgs(int argc, char** argv, Args* args) {
   }
   if (args->peers.empty()) return false;
   if (!args->client && args->node_id >= args->peers.size()) return false;
+  args->spec.num_replicas = args->peers.size();
+  if (args->protocol == "paxos") {
+    args->spec.protocol = pig::harness::Protocol::kPaxos;
+  } else if (args->protocol == "pigpaxos") {
+    args->spec.protocol = pig::harness::Protocol::kPigPaxos;
+  } else if (args->protocol == "epaxos") {
+    args->spec.protocol = pig::harness::Protocol::kEPaxos;
+  } else {
+    std::fprintf(stderr, "pig_node: unknown protocol %s\n",
+                 args->protocol.c_str());
+    return false;
+  }
+  if (args->spec.protocol == pig::harness::Protocol::kEPaxos) {
+    if (!args->data_dir.empty()) {
+      std::fprintf(stderr,
+                   "pig_node: --data-dir is not supported for epaxos\n");
+      return false;
+    }
+    if (args->spec.num_groups > 1) {
+      std::fprintf(stderr,
+                   "pig_node: --num-groups requires paxos/pigpaxos\n");
+      return false;
+    }
+  }
+  // Snapshots only matter on disk; memory-only nodes never take them.
+  if (args->data_dir.empty()) args->spec.paxos.snapshot_interval = 0;
   return true;
 }
 
-/// The per-process FileStorage instances; the replica actors hold
-/// non-owning pointers, so RunReplica keeps this alive past cluster
-/// teardown.
-using StorageList =
-    std::vector<std::unique_ptr<pig::storage::FileStorage>>;
-
-/// Opens PATH/group-<g> for one consensus group; nullptr (with the
-/// `opened` flag false) on failure, nullptr (flag true) when running
-/// memory-only.
-pig::storage::Storage* OpenGroupStorage(const Args& args, uint32_t group,
-                                        StorageList* owned, bool* opened) {
-  *opened = true;
-  if (args.data_dir.empty()) return nullptr;
-  const std::string dir =
-      args.data_dir + "/group-" + std::to_string(group);
-  auto fsb = std::make_unique<pig::storage::FileStorage>(dir);
-  if (!fsb->ok()) {
-    std::fprintf(stderr, "pig_node: cannot open data dir %s: %s\n",
-                 dir.c_str(), fsb->open_error().ToString().c_str());
-    *opened = false;
-    return nullptr;
-  }
-  owned->push_back(std::move(fsb));
-  return owned->back().get();
-}
-
-std::unique_ptr<pig::Actor> MakeGroupReplica(const Args& args,
-                                             uint32_t group,
-                                             pig::storage::Storage* storage) {
-  const size_t n = args.peers.size();
-  // Leader spreading: group g bootstraps its leader on node g % n, the
-  // same placement policy as the simulator harness (and the one a cold
-  // sharded SyncClient assumes).
-  const pig::NodeId bootstrap = static_cast<pig::NodeId>(group % n);
-  if (args.protocol == "paxos") {
-    pig::paxos::PaxosOptions opt;
-    opt.num_replicas = n;
-    opt.bootstrap_leader = bootstrap;
-    opt.storage = storage;
-    opt.snapshot_interval = storage != nullptr ? args.snapshot_interval : 0;
-    return std::make_unique<pig::paxos::PaxosReplica>(args.node_id, opt);
-  }
-  if (args.protocol == "pigpaxos") {
-    pig::pigpaxos::PigPaxosOptions opt;
-    opt.paxos.num_replicas = n;
-    opt.paxos.bootstrap_leader = bootstrap;
-    opt.paxos.storage = storage;
-    opt.paxos.snapshot_interval =
-        storage != nullptr ? args.snapshot_interval : 0;
-    opt.num_relay_groups = args.relay_groups;
-    return std::make_unique<pig::pigpaxos::PigPaxosReplica>(args.node_id,
-                                                            opt);
-  }
-  if (args.protocol == "epaxos") {
-    if (storage != nullptr) {
-      std::fprintf(stderr,
-                   "pig_node: --data-dir is not supported for epaxos\n");
-      return nullptr;
+/// Opens PATH/group-<g> for every consensus group hosted by this
+/// process (none when running memory-only). The replica actors hold
+/// non-owning pointers, so RunReplica keeps the list alive past cluster
+/// teardown. Returns false after printing the error on failure.
+bool OpenStorage(const Args& args,
+                 std::vector<std::unique_ptr<pig::storage::FileStorage>>*
+                     storages) {
+  if (args.data_dir.empty()) return true;
+  for (uint32_t g = 0; g < args.spec.num_groups; ++g) {
+    const std::string dir = args.data_dir + "/group-" + std::to_string(g);
+    auto fsb = std::make_unique<pig::storage::FileStorage>(dir);
+    if (!fsb->ok()) {
+      std::fprintf(stderr, "pig_node: cannot open data dir %s: %s\n",
+                   dir.c_str(), fsb->open_error().ToString().c_str());
+      return false;
     }
-    pig::epaxos::EPaxosOptions opt;
-    opt.num_replicas = n;
-    return std::make_unique<pig::epaxos::EPaxosReplica>(args.node_id, opt);
+    storages->push_back(std::move(fsb));
   }
-  return nullptr;
-}
-
-std::unique_ptr<pig::Actor> MakeReplica(const Args& args,
-                                        StorageList* storages) {
-  bool opened = true;
-  if (args.num_groups <= 1) {
-    pig::storage::Storage* s =
-        OpenGroupStorage(args, 0, storages, &opened);
-    return opened ? MakeGroupReplica(args, 0, s) : nullptr;
-  }
-  if (args.protocol == "epaxos") {
-    std::fprintf(stderr, "pig_node: --num-groups requires paxos/pigpaxos\n");
-    return nullptr;
-  }
-  auto node = std::make_unique<pig::shard::ShardedNode>(args.num_groups);
-  for (uint32_t g = 0; g < args.num_groups; ++g) {
-    pig::storage::Storage* s =
-        OpenGroupStorage(args, g, storages, &opened);
-    if (!opened) return nullptr;
-    auto replica = MakeGroupReplica(args, g, s);
-    if (replica == nullptr) return nullptr;
-    node->AddGroup(std::move(replica));
-  }
-  return node;
+  return true;
 }
 
 /// Loads and validates the --scenario pack against this cluster's size.
@@ -246,20 +201,22 @@ int RunReplica(const Args& args) {
   // for the simulator's hot loop, not for a long-running node. The
   // durable restart script greps the wal-recovery line specifically.
   pig::SetLogLevel(pig::LogLevel::kInfo);
-  StorageList storages;  // declared first: outlives the replica actors
+  // Declared first: outlives the replica actors.
+  std::vector<std::unique_ptr<pig::storage::FileStorage>> storages;
+  if (!OpenStorage(args, &storages)) return 2;
   pig::runtime::TcpCluster cluster(args.seed);
   for (pig::NodeId i = 0; i < args.peers.size(); ++i) {
     if (i == args.node_id) continue;
     cluster.AddPeer(i, args.peers[i].first, args.peers[i].second);
   }
-  std::unique_ptr<pig::Actor> replica = MakeReplica(args, &storages);
-  if (replica == nullptr) {
-    std::fprintf(stderr, "pig_node: unknown protocol %s\n",
-                 args.protocol.c_str());
-    return 2;
-  }
-  cluster.AddActor(args.node_id, std::move(replica),
-                   args.peers[args.node_id].second);
+  cluster.AddActor(
+      args.node_id,
+      pig::harness::MakeNode(args.spec, args.node_id,
+                             [&storages](uint32_t g) {
+                               return storages.empty() ? nullptr
+                                                       : storages[g].get();
+                             }),
+      args.peers[args.node_id].second);
   if (cluster.port(args.node_id) != args.peers[args.node_id].second) {
     std::fprintf(stderr, "pig_node: could not bind port %u\n",
                  args.peers[args.node_id].second);
@@ -282,7 +239,7 @@ int RunClient(const Args& args) {
     cluster.AddPeer(i, args.peers[i].first, args.peers[i].second);
   }
   auto client = std::make_unique<pig::runtime::SyncClient>(
-      args.peers.size(), 200 * pig::kMillisecond, args.num_groups);
+      args.peers.size(), 200 * pig::kMillisecond, args.spec.num_groups);
   pig::runtime::SyncClient* kv = client.get();
   cluster.AddActor(pig::kFirstClientId, std::move(client), /*port=*/0);
   cluster.Start();

@@ -169,7 +169,6 @@ TEST(AdversarialClockSkewTest, SkewStretchesAndRestores) {
 ConformanceConfig FaultyConfig() {
   ConformanceConfig cfg;
   cfg.name = "determinism-probe";
-  cfg.use_pig = true;
   cfg.scenario.name = "determinism-probe";
   cfg.scenario.schedule = {
       harness::DuplicateLinkEvent(200 * kMillisecond, kInvalidNode,
@@ -203,7 +202,6 @@ TEST(AdversarialDeterminismTest, ZeroedFaultsMatchNeverArmed) {
   // op counts and commit counts match exactly.
   ConformanceConfig off;
   off.name = "faults-zeroed";
-  off.use_pig = true;
   off.scenario.name = "faults-zeroed";
   off.scenario.schedule = {
       harness::DuplicateLinkEvent(200 * kMillisecond, kInvalidNode,
@@ -215,7 +213,6 @@ TEST(AdversarialDeterminismTest, ZeroedFaultsMatchNeverArmed) {
   };
   ConformanceConfig plain;
   plain.name = "faults-absent";
-  plain.use_pig = true;
   plain.scenario.name = "faults-absent";
   plain.scenario.schedule = {
       harness::HealEvent(900 * kMillisecond),
@@ -236,7 +233,7 @@ TEST(AdversarialDeterminismTest, ZeroedFaultsMatchNeverArmed) {
 TEST(AdversarialEPaxosTest, DuplicationNeverDoubleApplies) {
   sim::Cluster cluster{sim::ClusterOptions{}};
   epaxos::EPaxosOptions opt;
-  Prober* prober = MakeEPaxosCluster(cluster, 5, opt);
+  Prober* prober = MakeCluster(cluster, EPaxosSpec(5, opt));
   cluster.network().SetLinkDuplicate(kInvalidNode, kInvalidNode, 1.0);
   cluster.Start();
   cluster.RunFor(50 * kMillisecond);

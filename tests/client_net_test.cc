@@ -185,7 +185,7 @@ TEST(LatencyModelTest, SluggishDecoratorAddsBothDirections) {
 
 TEST(EPaxosAttributesTest, DependenciesChainThroughConflicts) {
   sim::Cluster cluster{sim::ClusterOptions{}};
-  Prober* prober = MakeEPaxosCluster(cluster, 3);
+  Prober* prober = MakeCluster(cluster, EPaxosSpec(3));
   cluster.Start();
   cluster.RunFor(10 * kMillisecond);
 
@@ -222,7 +222,7 @@ TEST(EPaxosAttributesTest, DependenciesChainThroughConflicts) {
 
 TEST(EPaxosAttributesTest, IndependentKeysNoDeps) {
   sim::Cluster cluster{sim::ClusterOptions{}};
-  Prober* prober = MakeEPaxosCluster(cluster, 3);
+  Prober* prober = MakeCluster(cluster, EPaxosSpec(3));
   cluster.Start();
   cluster.RunFor(10 * kMillisecond);
   prober->Put(0, "a", "1");

@@ -1,13 +1,14 @@
 #include "conformance.h"
 
 #include <algorithm>
+#include <functional>
 #include <map>
 #include <memory>
 #include <sstream>
 #include <utility>
 #include <vector>
 
-#include "baselines/ring_replica.h"
+#include "harness/replica_spec.h"
 #include "harness/scenario.h"
 #include "linearizability.h"
 #include "shard/messages.h"
@@ -167,48 +168,6 @@ class HistoryClient : public Actor {
 // ---------------------------------------------------------------------------
 // Cluster construction
 
-paxos::PaxosOptions MakePaxosOptions(const ConformanceConfig& cfg,
-                                     bool inject_fault) {
-  paxos::PaxosOptions popt;
-  popt.num_replicas = cfg.num_replicas;
-  popt.batch_size = cfg.batch_size;
-  popt.pipeline_depth = cfg.pipeline_depth;
-  // Default: never compact, so invariant checking scans the whole log
-  // (and the snapshot path stays out of the per-key version accounting).
-  // Durability rows override to exercise snapshot + state transfer; the
-  // full-prefix checks gate themselves on first_slot() then.
-  popt.compaction_window =
-      cfg.compaction_window > 0 ? cfg.compaction_window : (1u << 30);
-  popt.snapshot_interval = cfg.snapshot_interval;
-  popt.test_fault_count_duplicate_votes = inject_fault;
-  if (cfg.flexible_q1 > 0 && cfg.flexible_q2 > 0) {
-    popt.quorum = std::make_shared<FlexibleQuorum>(
-        cfg.num_replicas, cfg.flexible_q1, cfg.flexible_q2);
-  }
-  return popt;
-}
-
-pigpaxos::PigPaxosOptions MakePigOptions(const ConformanceConfig& cfg,
-                                         bool inject_fault) {
-  pigpaxos::PigPaxosOptions opt;
-  opt.paxos = MakePaxosOptions(cfg, inject_fault);
-  opt.num_relay_groups = cfg.relay_groups;
-  opt.group_overlap = cfg.group_overlap;
-  opt.relay_timeout = 20 * kMillisecond;
-  opt.uplink_coalesce_max = cfg.uplink_coalesce_max;
-  opt.relay_layers = static_cast<uint32_t>(cfg.relay_layers);
-  opt.reshuffle_interval = cfg.reshuffle_interval;
-  if (cfg.scenario.topology == harness::Topology::kWanVaCaOr) {
-    // One relay group per region (§6.4), as the harness does for WAN.
-    opt.grouping = pigpaxos::GroupingStrategy::kRegion;
-    const size_t n = cfg.num_replicas;
-    opt.region_of = [n](NodeId node) {
-      return harness::WanRegionOfNode(node, n);
-    };
-  }
-  return opt;
-}
-
 /// Per-(node, group) in-memory fault-injecting storage for durability
 /// runs. Owned by RunConformance, shared by initial construction and
 /// every crash-with-disk rebuild of the same node.
@@ -227,62 +186,23 @@ struct StorageBank {
   storage::MemStorage* at(NodeId i, uint32_t g) {
     return stores[i][g].get();
   }
+  /// Node i's per-group storage lookup for harness::MakeNode (memory
+  /// only when the bank is empty).
+  std::function<storage::Storage*(uint32_t)> For(NodeId i) {
+    if (stores.empty()) return {};
+    return [this, i](uint32_t g) { return at(i, g); };
+  }
 };
 
-/// Builds node `i`'s actor (ring / sharded / pig / flat paxos). With a
-/// bank, each hosted replica gets its persistent MemStorage and recovers
-/// from it in its constructor — the same path a rebuilt node takes after
-/// CrashWithDisk.
-std::unique_ptr<Actor> BuildNodeActor(const ConformanceConfig& cfg,
-                                      bool inject_fault, NodeId i,
-                                      StorageBank* bank) {
-  if (cfg.use_epaxos) {
-    epaxos::EPaxosOptions opt;
-    opt.num_replicas = cfg.num_replicas;
-    opt.retry_interval = cfg.epaxos_retry_interval;
-    opt.commit_rebroadcasts = cfg.epaxos_commit_rebroadcasts;
-    return std::make_unique<epaxos::EPaxosReplica>(i, opt);
-  }
-  if (cfg.use_ring) {
-    baselines::RingOptions opt;
-    opt.paxos = MakePaxosOptions(cfg, inject_fault);
-    if (bank != nullptr) opt.paxos.storage = bank->at(i, 0);
-    return std::make_unique<baselines::RingReplica>(i, opt);
-  }
-  if (cfg.num_groups > 1) {
-    // Sharded: every node hosts one replica per consensus group; group g
-    // bootstraps its leader on node g % n so leader load spreads.
-    auto node = std::make_unique<shard::ShardedNode>(cfg.num_groups);
-    for (uint32_t g = 0; g < cfg.num_groups; ++g) {
-      const NodeId bootstrap = static_cast<NodeId>(g % cfg.num_replicas);
-      if (cfg.use_pig) {
-        pigpaxos::PigPaxosOptions opt = MakePigOptions(cfg, inject_fault);
-        opt.paxos.bootstrap_leader = bootstrap;
-        if (bank != nullptr) opt.paxos.storage = bank->at(i, g);
-        node->AddGroup(std::make_unique<pigpaxos::PigPaxosReplica>(i, opt));
-      } else {
-        paxos::PaxosOptions opt = MakePaxosOptions(cfg, inject_fault);
-        opt.bootstrap_leader = bootstrap;
-        if (bank != nullptr) opt.storage = bank->at(i, g);
-        node->AddGroup(std::make_unique<paxos::PaxosReplica>(i, opt));
-      }
-    }
-    return node;
-  }
-  if (cfg.use_pig) {
-    pigpaxos::PigPaxosOptions opt = MakePigOptions(cfg, inject_fault);
-    if (bank != nullptr) opt.paxos.storage = bank->at(i, 0);
-    return std::make_unique<pigpaxos::PigPaxosReplica>(i, opt);
-  }
-  paxos::PaxosOptions opt = MakePaxosOptions(cfg, inject_fault);
-  if (bank != nullptr) opt.storage = bank->at(i, 0);
-  return std::make_unique<paxos::PaxosReplica>(i, opt);
-}
-
+/// Adds every node's actor. With a bank, each hosted replica gets its
+/// persistent MemStorage and recovers from it in its constructor — the
+/// same path a rebuilt node takes after CrashWithDisk.
 void AddReplicas(sim::Cluster& cluster, const ConformanceConfig& cfg,
-                 bool inject_fault, StorageBank* bank = nullptr) {
-  for (NodeId i = 0; i < cfg.num_replicas; ++i) {
-    cluster.AddReplica(i, BuildNodeActor(cfg, inject_fault, i, bank));
+                 StorageBank* bank = nullptr) {
+  for (NodeId i = 0; i < cfg.replica.num_replicas; ++i) {
+    cluster.AddReplica(
+        i, harness::MakeNode(cfg.replica, i,
+                             bank != nullptr ? bank->For(i) : nullptr));
   }
 }
 
@@ -291,12 +211,12 @@ std::vector<HistoryClient*> AddClients(sim::Cluster& cluster,
   std::vector<HistoryClient*> clients;
   for (uint32_t i = 0; i < cfg.num_clients; ++i) {
     HistoryClient::Config ccfg;
-    ccfg.num_replicas = cfg.num_replicas;
+    ccfg.num_replicas = cfg.replica.num_replicas;
     ccfg.num_keys = cfg.num_keys;
     ccfg.read_ratio = cfg.read_ratio;
     ccfg.index = i;
-    ccfg.num_groups = cfg.num_groups;
-    ccfg.leaderless = cfg.use_epaxos;
+    ccfg.num_groups = cfg.replica.num_groups;
+    ccfg.leaderless = cfg.replica.protocol == harness::Protocol::kEPaxos;
     auto owner = std::make_unique<HistoryClient>(ccfg);
     clients.push_back(owner.get());
     cluster.AddClient(sim::Cluster::MakeClientId(i), std::move(owner));
@@ -313,7 +233,7 @@ std::vector<HistoryClient*> AddClients(sim::Cluster& cluster,
 const paxos::PaxosReplica* GroupPaxosAt(sim::Cluster& cluster,
                                         const ConformanceConfig& cfg,
                                         NodeId id, uint32_t g) {
-  if (cfg.num_groups <= 1) return PaxosAt(cluster, id);
+  if (cfg.replica.num_groups <= 1) return PaxosAt(cluster, id);
   return static_cast<const paxos::PaxosReplica*>(
       static_cast<shard::ShardedNode*>(cluster.actor(id))->group_actor(g));
 }
@@ -328,7 +248,7 @@ std::string CheckEPaxosInvariants(sim::Cluster& cluster,
                                   const ConformanceConfig& cfg,
                                   const std::vector<HistoryClient*>& clients,
                                   ConformanceResult* result) {
-  const size_t n = cfg.num_replicas;
+  const size_t n = cfg.replica.num_replicas;
   for (auto* c : clients) {
     result->completed_ops += c->history.size();
     result->acked_writes += c->acked_write_seqs.size();
@@ -441,11 +361,11 @@ std::string CheckInvariants(sim::Cluster& cluster,
                             const ConformanceConfig& cfg,
                             const std::vector<HistoryClient*>& clients,
                             ConformanceResult* result) {
-  if (cfg.use_epaxos) {
+  if (cfg.replica.protocol == harness::Protocol::kEPaxos) {
     return CheckEPaxosInvariants(cluster, cfg, clients, result);
   }
-  const size_t n = cfg.num_replicas;
-  const uint32_t groups = cfg.num_groups > 0 ? cfg.num_groups : 1;
+  const size_t n = cfg.replica.num_replicas;
+  const uint32_t groups = std::max<uint32_t>(1, cfg.replica.num_groups);
   for (auto* c : clients) {
     result->completed_ops += c->history.size();
     result->acked_writes += c->acked_write_seqs.size();
@@ -614,14 +534,27 @@ std::string CheckInvariants(sim::Cluster& cluster,
 
 // ---------------------------------------------------------------------------
 
+harness::ReplicaSpec ConformanceSpec() {
+  harness::ReplicaSpec spec;
+  spec.protocol = harness::Protocol::kPigPaxos;
+  spec.num_replicas = 5;
+  spec.paxos.compaction_window = 1u << 30;
+  spec.pig.num_relay_groups = 2;
+  spec.pig.relay_timeout = 20 * kMillisecond;
+  return spec;
+}
+
 ConformanceResult RunConformance(const ConformanceConfig& cfg,
                                  uint64_t seed) {
   sim::ClusterOptions copt;
   copt.seed = seed;
   copt.network.drop_probability = cfg.drop_probability;
   harness::ScenarioRuntime scenario_rt;
+  const size_t n = cfg.replica.num_replicas;
+  const uint32_t groups = std::max<uint32_t>(1, cfg.replica.num_groups);
+  const bool epaxos = cfg.replica.protocol == harness::Protocol::kEPaxos;
   if (cfg.scripted()) {
-    scenario_rt = harness::PrepareScenario(cfg.scenario, cfg.num_replicas);
+    scenario_rt = harness::PrepareScenario(cfg.scenario, n);
     if (scenario_rt.latency) copt.network.latency = scenario_rt.latency;
   }
   // The bank outlives the cluster: replicas (including rebuilt ones)
@@ -630,9 +563,8 @@ ConformanceResult RunConformance(const ConformanceConfig& cfg,
   const bool with_disk = cfg.disk != DiskMode::kNone;
   sim::Cluster cluster(copt);
   if (with_disk) {
-    bank.Init(cfg.num_replicas, cfg.num_groups > 0 ? cfg.num_groups : 1);
-    cluster.SetRebuildHook([&cfg, &bank](NodeId id, bool lose_disk) {
-      const uint32_t groups = cfg.num_groups > 0 ? cfg.num_groups : 1;
+    bank.Init(n, groups);
+    cluster.SetRebuildHook([&cfg, &bank, groups](NodeId id, bool lose_disk) {
       for (uint32_t g = 0; g < groups; ++g) {
         // kill -9 semantics: appends after the last Sync barrier never
         // reached disk; a lost disk loses everything.
@@ -642,18 +574,16 @@ ConformanceResult RunConformance(const ConformanceConfig& cfg,
           bank.at(id, g)->DropUnsynced();
         }
       }
-      return BuildNodeActor(cfg, /*inject_fault=*/false, id, &bank);
+      return harness::MakeNode(cfg.replica, id, bank.For(id));
     });
   }
-  AddReplicas(cluster, cfg, /*inject_fault=*/false,
-              with_disk ? &bank : nullptr);
+  AddReplicas(cluster, cfg, &bank);
   std::vector<HistoryClient*> clients = AddClients(cluster, cfg);
   cluster.Start();
 
   // Let the bootstrap leader settle before the abuse starts.
   cluster.RunFor(150 * kMillisecond);
 
-  const size_t n = cfg.num_replicas;
   if (cfg.scripted()) {
     // Scripted scenario: the spec's fault events, offset by the settle
     // phase, replace the randomized chaos rounds. HealScenario then
@@ -680,7 +610,7 @@ ConformanceResult RunConformance(const ConformanceConfig& cfg,
       // EPaxos rows take partitions and heals only: crash recovery needs
       // explicit prepare (not implemented) and there are no elections.
       if (dice < 30) {
-        if (!cfg.use_epaxos && num_down < max_down) {
+        if (!epaxos && num_down < max_down) {
           NodeId victim = static_cast<NodeId>(chaos.NextBounded(n));
           if (!down[victim]) {
             switch (cfg.disk) {
@@ -725,13 +655,13 @@ ConformanceResult RunConformance(const ConformanceConfig& cfg,
         cluster.network().HealPartitions();
       } else if (dice < 85) {
         NodeId who = static_cast<NodeId>(chaos.NextBounded(n));
-        if (!cfg.use_epaxos && !down[who]) {
-          if (cfg.num_groups > 1) {
+        if (!epaxos && !down[who]) {
+          if (groups > 1) {
             // Churn one random group's leadership; the others must ride
             // through untouched.
             auto* node =
                 static_cast<shard::ShardedNode*>(cluster.actor(who));
-            const size_t g = chaos.NextBounded(cfg.num_groups);
+            const size_t g = chaos.NextBounded(groups);
             static_cast<paxos::PaxosReplica*>(node->group_actor(g))
                 ->TriggerElection();
           } else {
@@ -773,32 +703,23 @@ ConformanceResult RunDuplicateVoteFaultScenario(uint64_t seed,
   // counts the duplicate, fabricating a commit that phase 2 then loses.
   ConformanceConfig cfg;
   cfg.name = "duplicate-vote-fault";
-  cfg.use_pig = true;
-  cfg.num_replicas = 5;
   cfg.num_clients = 1;
   cfg.num_keys = 1;
   cfg.read_ratio = 0.0;  // writes only: every ack must survive
+  paxos::PaxosOptions& paxos = cfg.replica.paxos;
+  paxos.test_fault_count_duplicate_votes = inject_fault;
+  // Keep follower 1 from starting elections while the majority is down
+  // (2 live nodes can elect nobody), and retry proposals fast so the
+  // duplicate-vote path gets exercised quickly.
+  paxos.election_timeout_min = 600 * kMillisecond;
+  paxos.election_timeout_max = 900 * kMillisecond;
+  paxos.propose_retry_timeout = 100 * kMillisecond;
+  cfg.replica.pig.group_overlap = 1;
 
   sim::ClusterOptions copt;
   copt.seed = seed;
   sim::Cluster cluster(copt);
-  {
-    pigpaxos::PigPaxosOptions opt;
-    opt.paxos = MakePaxosOptions(cfg, inject_fault);
-    // Keep follower 1 from starting elections while the majority is
-    // down (2 live nodes can elect nobody), and retry proposals fast so
-    // the duplicate-vote path gets exercised quickly.
-    opt.paxos.election_timeout_min = 600 * kMillisecond;
-    opt.paxos.election_timeout_max = 900 * kMillisecond;
-    opt.paxos.propose_retry_timeout = 100 * kMillisecond;
-    opt.num_relay_groups = cfg.relay_groups;
-    opt.group_overlap = 1;
-    opt.relay_timeout = 20 * kMillisecond;
-    for (NodeId i = 0; i < cfg.num_replicas; ++i) {
-      cluster.AddReplica(
-          i, std::make_unique<pigpaxos::PigPaxosReplica>(i, opt));
-    }
-  }
+  AddReplicas(cluster, cfg);
   std::vector<HistoryClient*> clients = AddClients(cluster, cfg);
   cluster.Start();
   cluster.RunFor(150 * kMillisecond);
@@ -855,29 +776,23 @@ ConformanceResult RunDuplicationFaultScenario(uint64_t seed,
   //     the slots, exposing log disagreement / lost acks.
   ConformanceConfig cfg;
   cfg.name = "duplication-fault";
-  cfg.use_pig = false;
-  cfg.num_replicas = 5;
+  cfg.replica.protocol = harness::Protocol::kPaxos;
   cfg.num_clients = 1;
   cfg.num_keys = 1;
   cfg.read_ratio = 0.0;  // writes only: every ack must survive
+  paxos::PaxosOptions& paxos = cfg.replica.paxos;
+  paxos.test_fault_count_duplicate_votes = fault == DedupFault::kVoteCount;
+  paxos.test_fault_no_client_dedup = fault == DedupFault::kClientRecords;
+  // Keep follower 1 from starting elections while the majority is down,
+  // and retry proposals fast so duplicated votes get exercised.
+  paxos.election_timeout_min = 600 * kMillisecond;
+  paxos.election_timeout_max = 900 * kMillisecond;
+  paxos.propose_retry_timeout = 100 * kMillisecond;
 
   sim::ClusterOptions copt;
   copt.seed = seed;
   sim::Cluster cluster(copt);
-  {
-    paxos::PaxosOptions opt =
-        MakePaxosOptions(cfg, fault == DedupFault::kVoteCount);
-    opt.test_fault_no_client_dedup = fault == DedupFault::kClientRecords;
-    // Keep follower 1 from starting elections while the majority is
-    // down, and retry proposals fast so duplicated votes get exercised.
-    opt.election_timeout_min = 600 * kMillisecond;
-    opt.election_timeout_max = 900 * kMillisecond;
-    opt.propose_retry_timeout = 100 * kMillisecond;
-    for (NodeId i = 0; i < cfg.num_replicas; ++i) {
-      cluster.AddReplica(i,
-                         std::make_unique<paxos::PaxosReplica>(i, opt));
-    }
-  }
+  AddReplicas(cluster, cfg);
   std::vector<HistoryClient*> clients = AddClients(cluster, cfg);
   cluster.network().SetLinkDuplicate(kInvalidNode, kInvalidNode, 1.0);
   cluster.Start();

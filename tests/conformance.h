@@ -47,53 +47,32 @@ enum class DiskMode {
                 ///< legitimate data loss, not a protocol bug).
 };
 
+/// The matrix's default replica: 5-node PigPaxos over 2 relay groups
+/// with a 20 ms relay timeout, and log compaction off so invariant
+/// checking scans the whole log (durability rows turn it back on to
+/// exercise snapshot + state transfer; the full-prefix checks gate
+/// themselves on first_slot() then).
+harness::ReplicaSpec ConformanceSpec();
+
 struct ConformanceConfig {
   std::string name;           ///< Diagnostics only.
-  bool use_pig = true;
-  /// Ring-pipeline baseline (baselines/ring_replica.h); wins over
-  /// use_pig so the same chaos schedules validate both protocols.
-  bool use_ring = false;
-  /// Leaderless EPaxos baseline (epaxos/replica.h); wins over use_ring
-  /// and use_pig. Clients spread across replicas (every node is a
-  /// command leader) and the invariant set switches to instance
-  /// agreement + dependency-execution convergence. Crash/election chaos
-  /// arms are skipped: explicit-prepare recovery is not implemented
-  /// (DESIGN.md §6), so epaxos rows exercise the *delivery* fault kinds
-  /// — duplication, reordering, one-way partitions, clock skew.
-  bool use_epaxos = false;
-  /// EPaxosOptions::retry_interval / commit_rebroadcasts for epaxos
-  /// rows. Any schedule that loses messages (drops, partitions) needs
-  /// retransmission: a lost PreAccept or ECommit wedges dependency
-  /// execution at the replica that missed it.
-  TimeNs epaxos_retry_interval = 0;
-  uint32_t epaxos_commit_rebroadcasts = 0;
-  size_t num_replicas = 5;
+
+  /// Protocol, cluster size, sharding and options. With num_groups > 1
+  /// clients route commands by key through a ShardRouter and the
+  /// invariant set runs per group, plus a membership check that every
+  /// committed command landed in the group its key hashes to. EPaxos
+  /// rows switch to instance agreement + dependency-execution
+  /// convergence and skip the crash/election chaos arms: explicit-
+  /// prepare recovery is not implemented (see epaxos/replica.h), so they
+  /// exercise the *delivery* fault kinds. Any EPaxos schedule that loses
+  /// messages needs epaxos.retry_interval/commit_rebroadcasts: a lost
+  /// PreAccept or ECommit wedges dependency execution at the replica
+  /// that missed it.
+  harness::ReplicaSpec replica = ConformanceSpec();
+
   size_t num_clients = 4;
   size_t num_keys = 8;
   double read_ratio = 0.5;
-
-  /// Consensus groups hash-partitioning the keyspace (shard/). 1 = the
-  /// classic single-group run. With > 1 every node hosts one replica
-  /// per group (shard::ShardedNode), clients route commands by key
-  /// through a ShardRouter, and the invariant set runs per group — plus
-  /// a membership check that every committed command landed in the
-  /// group its key hashes to.
-  uint32_t num_groups = 1;
-
-  // Batching / pipelining (1/1 = engine off).
-  size_t batch_size = 1;
-  size_t pipeline_depth = 1;
-
-  // PigPaxos relay layer.
-  size_t relay_groups = 2;
-  size_t group_overlap = 0;
-  size_t uplink_coalesce_max = 1;
-  size_t relay_layers = 1;
-  TimeNs reshuffle_interval = 0;   ///< §4.1 dynamic regrouping.
-
-  // Flexible quorums (0 = majority).
-  size_t flexible_q1 = 0;
-  size_t flexible_q2 = 0;
 
   double drop_probability = 0.0;
   int chaos_rounds = 6;
@@ -104,11 +83,6 @@ struct ConformanceConfig {
   // which skips every WAL/snapshot hook — that configuration must stay
   // byte-identical to the harness before durability existed.
   DiskMode disk = DiskMode::kNone;
-  size_t snapshot_interval = 0;   ///< PaxosOptions::snapshot_interval.
-  size_t compaction_window = 0;   ///< 0 = never compact (checker scans
-                                  ///< the whole log); nonzero exercises
-                                  ///< snapshot + state-transfer paths
-                                  ///< and gates the full-prefix checks.
 
   /// Scripted scenario (harness/scenario.h). When the schedule is
   /// non-empty it REPLACES the seeded random chaos: the named fault

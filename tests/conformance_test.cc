@@ -17,21 +17,39 @@
 namespace pig::test {
 namespace {
 
+using harness::Protocol;
+
+/// A matrix row: `name` on `protocol`, everything else at the
+/// ConformanceSpec defaults until the caller overrides it.
+ConformanceConfig Row(const char* name, Protocol protocol) {
+  ConformanceConfig c;
+  c.name = name;
+  c.replica.protocol = protocol;
+  return c;
+}
+
+/// Batching/pipelining and flexible quorums (q1 = q2 = 0: majority).
+void SetPaxos(ConformanceConfig& c, size_t batch, size_t depth, size_t q1,
+              size_t q2) {
+  c.replica.paxos.batch_size = batch;
+  c.replica.paxos.pipeline_depth = depth;
+  if (q1 > 0 && q2 > 0) {
+    c.replica.paxos.quorum = std::make_shared<FlexibleQuorum>(
+        c.replica.num_replicas, q1, q2);
+  }
+}
+
 std::vector<ConformanceConfig> BuildMatrix() {
   std::vector<ConformanceConfig> configs;
   auto add = [&](const char* name, bool pig, size_t batch, size_t depth,
                  size_t groups, size_t overlap, size_t coalesce,
                  size_t q1, size_t q2, double drop) {
-    ConformanceConfig c;
-    c.name = name;
-    c.use_pig = pig;
-    c.batch_size = batch;
-    c.pipeline_depth = depth;
-    c.relay_groups = groups;
-    c.group_overlap = overlap;
-    c.uplink_coalesce_max = coalesce;
-    c.flexible_q1 = q1;
-    c.flexible_q2 = q2;
+    ConformanceConfig c =
+        Row(name, pig ? Protocol::kPigPaxos : Protocol::kPaxos);
+    SetPaxos(c, batch, depth, q1, q2);
+    c.replica.pig.num_relay_groups = groups;
+    c.replica.pig.group_overlap = overlap;
+    c.replica.pig.uplink_coalesce_max = coalesce;
     c.drop_probability = drop;
     configs.push_back(c);
   };
@@ -55,14 +73,8 @@ std::vector<ConformanceConfig> BuildMatrix() {
   // including its broken-ring fallback path, which crashes exercise.
   auto add_ring = [&](const char* name, size_t batch, size_t depth,
                       size_t q1, size_t q2, double drop) {
-    ConformanceConfig c;
-    c.name = name;
-    c.use_pig = false;
-    c.use_ring = true;
-    c.batch_size = batch;
-    c.pipeline_depth = depth;
-    c.flexible_q1 = q1;
-    c.flexible_q2 = q2;
+    ConformanceConfig c = Row(name, Protocol::kRing);
+    SetPaxos(c, batch, depth, q1, q2);
     c.drop_probability = drop;
     configs.push_back(c);
   };
@@ -77,14 +89,11 @@ std::vector<ConformanceConfig> BuildMatrix() {
   // to. More keys than default so all 4 groups see traffic.
   auto add_sharded = [&](const char* name, bool pig, size_t batch,
                          size_t depth, uint32_t groups, double drop) {
-    ConformanceConfig c;
-    c.name = name;
-    c.use_pig = pig;
-    c.num_groups = groups;
+    ConformanceConfig c =
+        Row(name, pig ? Protocol::kPigPaxos : Protocol::kPaxos);
+    c.replica.num_groups = groups;
     c.num_keys = 16;
-    c.batch_size = batch;
-    c.pipeline_depth = depth;
-    c.relay_groups = 2;
+    SetPaxos(c, batch, depth, 0, 0);
     c.drop_probability = drop;
     configs.push_back(c);
   };
@@ -98,15 +107,13 @@ std::vector<ConformanceConfig> BuildMatrix() {
   // prune paths hot under the same invariant set.
   auto add_disk = [&](const char* name, bool pig, uint32_t groups,
                       double drop) {
-    ConformanceConfig c;
-    c.name = name;
-    c.use_pig = pig;
-    c.num_groups = groups;
+    ConformanceConfig c =
+        Row(name, pig ? Protocol::kPigPaxos : Protocol::kPaxos);
+    c.replica.num_groups = groups;
     c.num_keys = groups > 1 ? 16 : 8;
-    c.relay_groups = 2;
     c.disk = DiskMode::kWithDisk;
-    c.snapshot_interval = 8;
-    c.compaction_window = 32;
+    c.replica.paxos.snapshot_interval = 8;
+    c.replica.paxos.compaction_window = 32;
     c.drop_probability = drop;
     configs.push_back(c);
   };
@@ -123,15 +130,13 @@ std::vector<ConformanceConfig> BuildMatrix() {
   // a node that leads nothing while every leader stays up — the one
   // regime where a single machine replacement must be invisible.
   auto add_losing = [&](const char* name, bool pig, uint32_t groups) {
-    ConformanceConfig c;
-    c.name = name;
-    c.use_pig = pig;
-    c.num_groups = groups;
+    ConformanceConfig c =
+        Row(name, pig ? Protocol::kPigPaxos : Protocol::kPaxos);
+    c.replica.num_groups = groups;
     c.num_keys = groups > 1 ? 16 : 8;
-    c.relay_groups = 2;
     c.disk = DiskMode::kLosingDisk;
-    c.snapshot_interval = 8;
-    c.compaction_window = 32;
+    c.replica.paxos.snapshot_interval = 8;
+    c.replica.paxos.compaction_window = 32;
     c.scenario.name = "follower-disk-replacement";
     c.scenario.schedule = {
         harness::CrashLosingDiskEvent(200 * kMillisecond, 4),
@@ -147,18 +152,15 @@ std::vector<ConformanceConfig> BuildMatrix() {
   // and the usual invariant set must hold. Duplication leans on the vote
   // masks and client dedup; reordering on commit-order independence;
   // one-way partitions on retry/suspicion paths; skew on timer safety.
-  auto add_adversarial = [&](const char* name, bool pig, bool ring,
+  auto add_adversarial = [&](const char* name, Protocol protocol,
                              std::vector<harness::FaultEvent> schedule) {
-    ConformanceConfig c;
-    c.name = name;
-    c.use_pig = pig;
-    c.use_ring = ring;
+    ConformanceConfig c = Row(name, protocol);
     c.scenario.name = name;
     c.scenario.schedule = std::move(schedule);
     configs.push_back(c);
   };
   add_adversarial(
-      "PigOneWayPartition", true, false,
+      "PigOneWayPartition", Protocol::kPigPaxos,
       {
           // Node 2 can hear but not speak; later a single directed edge
           // 0->3 dies while 3->0 stays up.
@@ -170,7 +172,7 @@ std::vector<ConformanceConfig> BuildMatrix() {
           harness::OneWayPartitionEvent(1000 * kMillisecond, 0, 3, false),
       });
   add_adversarial(
-      "PaxosDuplicateAll", false, false,
+      "PaxosDuplicateAll", Protocol::kPaxos,
       {
           harness::DuplicateLinkEvent(150 * kMillisecond, kInvalidNode,
                                       kInvalidNode, 0.45),
@@ -178,7 +180,7 @@ std::vector<ConformanceConfig> BuildMatrix() {
                                       kInvalidNode, 0.0),
       });
   add_adversarial(
-      "PigReorderJitter", true, false,
+      "PigReorderJitter", Protocol::kPigPaxos,
       {
           harness::ReorderLinkEvent(150 * kMillisecond, kInvalidNode,
                                     kInvalidNode, 8 * kMillisecond),
@@ -186,7 +188,7 @@ std::vector<ConformanceConfig> BuildMatrix() {
                                     kInvalidNode, 0),
       });
   add_adversarial(
-      "PigClockSkew", true, false,
+      "PigClockSkew", Protocol::kPigPaxos,
       {
           // Node 1 runs slow (late timers), node 3 fast (early
           // elections); both are restored before the tail.
@@ -196,7 +198,7 @@ std::vector<ConformanceConfig> BuildMatrix() {
           harness::ClockSkewEvent(1100 * kMillisecond, 3, 1.0),
       });
   add_adversarial(
-      "PigComposedChaos", true, false,
+      "PigComposedChaos", Protocol::kPigPaxos,
       {
           harness::DuplicateLinkEvent(150 * kMillisecond, kInvalidNode,
                                       kInvalidNode, 0.3),
@@ -209,7 +211,7 @@ std::vector<ConformanceConfig> BuildMatrix() {
                                         kInvalidNode, false),
       });
   add_adversarial(
-      "RingReorderDuplicate", false, true,
+      "RingReorderDuplicate", Protocol::kRing,
       {
           harness::DuplicateLinkEvent(150 * kMillisecond, kInvalidNode,
                                       kInvalidNode, 0.3),
@@ -223,12 +225,9 @@ std::vector<ConformanceConfig> BuildMatrix() {
   // a lost PreAccept/ECommit wedges execution at whoever missed it.
   auto add_epaxos = [&](const char* name, TimeNs retry, uint32_t recasts,
                         std::vector<harness::FaultEvent> schedule) {
-    ConformanceConfig c;
-    c.name = name;
-    c.use_pig = false;
-    c.use_epaxos = true;
-    c.epaxos_retry_interval = retry;
-    c.epaxos_commit_rebroadcasts = recasts;
+    ConformanceConfig c = Row(name, Protocol::kEPaxos);
+    c.replica.epaxos.retry_interval = retry;
+    c.replica.epaxos.commit_rebroadcasts = recasts;
     c.scenario.name = name;
     c.scenario.schedule = std::move(schedule);
     configs.push_back(c);
@@ -301,7 +300,8 @@ TEST_P(ConformanceMatrixTest, InvariantsHold) {
   EXPECT_EQ(r.violation, "")
       << c.cfg.name << " seed " << c.seed << ": " << r.violation;
   EXPECT_GT(r.completed_ops, 0u);
-  if (c.cfg.batch_size > 1 || c.cfg.pipeline_depth > 1) {
+  if (c.cfg.replica.paxos.batch_size > 1 ||
+      c.cfg.replica.paxos.pipeline_depth > 1) {
     // The engine must actually have engaged, or the sweep tests nothing.
     EXPECT_GT(r.batches_proposed, 0u) << c.cfg.name;
   }

@@ -16,7 +16,7 @@ TEST(ElectionTest, DuelingCandidatesConvergeToOneLeader) {
   // Narrow the timeout window to force simultaneous candidacies.
   opt.election_timeout_min = 100 * kMillisecond;
   opt.election_timeout_max = 110 * kMillisecond;
-  Prober* prober = MakePaxosCluster(cluster, 5, opt);
+  Prober* prober = MakeCluster(cluster, PaxosSpec(5, opt));
   cluster.Start();
   cluster.RunFor(5 * kSecond);
 
@@ -41,7 +41,7 @@ TEST(ElectionTest, CandidateRetriesWithHigherBallot) {
   sim::Cluster cluster{sim::ClusterOptions{}};
   paxos::PaxosOptions opt;
   opt.num_replicas = 5;
-  MakePaxosCluster(cluster, 5, opt);
+  MakeCluster(cluster, PaxosSpec(5, opt));
   cluster.Start();
   cluster.RunFor(100 * kMillisecond);
   // Isolate everyone from node 1, then force it to campaign.
@@ -72,7 +72,7 @@ TEST(ElectionTest, StaleLeaderDeposedByHeartbeatNack) {
   sim::Cluster cluster{sim::ClusterOptions{}};
   paxos::PaxosOptions opt;
   opt.num_replicas = 5;
-  Prober* prober = MakePaxosCluster(cluster, 5, opt);
+  Prober* prober = MakeCluster(cluster, PaxosSpec(5, opt));
   cluster.Start();
   cluster.RunFor(100 * kMillisecond);
   ASSERT_TRUE(PaxosAt(cluster, 0)->IsLeader());
@@ -107,7 +107,7 @@ TEST(ElectionTest, PromisedBallotNeverDecreases) {
   sim::Cluster cluster(copt);
   paxos::PaxosOptions opt;
   opt.num_replicas = 5;
-  MakePaxosCluster(cluster, 5, opt);
+  MakeCluster(cluster, PaxosSpec(5, opt));
   cluster.Start();
 
   Ballot last[5];
@@ -138,7 +138,7 @@ TEST(ElectionTest, PigElectionThroughRelayTree) {
   opt.paxos.num_replicas = 9;
   opt.paxos.bootstrap_leader = kInvalidNode;
   opt.num_relay_groups = 3;
-  Prober* prober = MakePigCluster(cluster, 9, opt);
+  Prober* prober = MakeCluster(cluster, PigSpec(9, opt));
   cluster.Start();
   cluster.RunFor(3 * kSecond);
   NodeId leader = FindLeader(cluster, 9);
@@ -154,7 +154,7 @@ TEST(ElectionTest, NewLeaderAdoptsInFlightCommands) {
   sim::Cluster cluster{sim::ClusterOptions{}};
   paxos::PaxosOptions opt;
   opt.num_replicas = 5;
-  Prober* prober = MakePaxosCluster(cluster, 5, opt);
+  Prober* prober = MakeCluster(cluster, PaxosSpec(5, opt));
   cluster.Start();
   cluster.RunFor(100 * kMillisecond);
 

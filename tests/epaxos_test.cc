@@ -21,9 +21,52 @@ TEST(EPaxosQuorumTest, FastQuorumSizes) {
   EXPECT_EQ(EPaxosReplica::SlowQuorumSize(25), 13u);
 }
 
+/// Sends arbitrary, well-formed protocol messages, as any TCP peer of
+/// pig_node --protocol=epaxos can.
+class Injector : public Actor {
+ public:
+  void OnMessage(NodeId, const MessagePtr&) override {}
+  void Send(NodeId to, MessagePtr msg) { env_->Send(to, std::move(msg)); }
+};
+
+// Instance owners and dependencies index the per-replica instance
+// tables, so an owner id outside the cluster must be refused at
+// dispatch (under ASan this was a heap-buffer-overflow).
+TEST(EPaxosTest, OutOfRangeInstanceOwnerIsRejected) {
+  sim::Cluster cluster{sim::ClusterOptions{}};
+  Prober* prober = MakeCluster(cluster, EPaxosSpec(3));
+  auto owner = std::make_unique<Injector>();
+  Injector* peer = owner.get();
+  cluster.AddClient(sim::Cluster::MakeClientId(1), std::move(owner));
+  cluster.Start();
+  cluster.RunFor(10 * kMillisecond);
+
+  auto pre = std::make_shared<epaxos::PreAccept>();
+  pre->inst = epaxos::InstanceId{1000, 0};
+  pre->cmd = Command::Put("x", "bad", sim::Cluster::MakeClientId(1), 1);
+  peer->Send(0, pre);
+  auto commit = std::make_shared<epaxos::ECommit>();
+  commit->inst = epaxos::InstanceId{1, 7};
+  commit->cmd = Command::Put("y", "bad", sim::Cluster::MakeClientId(1), 2);
+  commit->deps = {epaxos::InstanceId{1000, 0}};
+  peer->Send(0, commit);
+  cluster.RunFor(50 * kMillisecond);
+
+  // The replica keeps serving.
+  const uint64_t put = prober->Put(0, "z", "1");
+  cluster.RunFor(50 * kMillisecond);
+  const uint64_t get = prober->Get(0, "z");
+  cluster.RunFor(50 * kMillisecond);
+  EXPECT_NE(prober->FindReply(put), nullptr);
+  const auto* r = prober->FindReply(get);
+  ASSERT_NE(r, nullptr);
+  EXPECT_EQ(r->value, "1");
+  EXPECT_EQ(EPaxosAt(cluster, 0)->store().Get("y"), "");
+}
+
 TEST(EPaxosTest, CommitsAtAnyReplica) {
   sim::Cluster cluster{sim::ClusterOptions{}};
-  Prober* prober = MakeEPaxosCluster(cluster, 5);
+  Prober* prober = MakeCluster(cluster, EPaxosSpec(5));
   cluster.Start();
   cluster.RunFor(10 * kMillisecond);
   // Submit to three different replicas.
@@ -42,7 +85,7 @@ TEST(EPaxosTest, CommitsAtAnyReplica) {
 
 TEST(EPaxosTest, NonConflictingCommandsTakeFastPath) {
   sim::Cluster cluster{sim::ClusterOptions{}};
-  Prober* prober = MakeEPaxosCluster(cluster, 5);
+  Prober* prober = MakeCluster(cluster, EPaxosSpec(5));
   cluster.Start();
   cluster.RunFor(10 * kMillisecond);
   // Different keys, sequential: no interference.
@@ -58,7 +101,7 @@ TEST(EPaxosTest, NonConflictingCommandsTakeFastPath) {
 TEST(EPaxosTest, SequentialSameKeyStillFastPath) {
   // Same key but sequential: deps match everywhere, attributes agree.
   sim::Cluster cluster{sim::ClusterOptions{}};
-  Prober* prober = MakeEPaxosCluster(cluster, 5);
+  Prober* prober = MakeCluster(cluster, EPaxosSpec(5));
   cluster.Start();
   cluster.RunFor(10 * kMillisecond);
   for (int i = 0; i < 5; ++i) {
@@ -91,10 +134,7 @@ TEST(EPaxosTest, ConcurrentConflictingWritesConvergeEverywhere) {
   // Two independent clients write the same key to different replicas at
   // the same instant.
   epaxos::EPaxosOptions opt;
-  opt.num_replicas = 5;
-  for (NodeId i = 0; i < 5; ++i) {
-    cluster.AddReplica(i, std::make_unique<EPaxosReplica>(i, opt));
-  }
+  AddReplicas(cluster, EPaxosSpec(5, opt));
   auto mk = [&](uint32_t idx, NodeId target) {
     class W : public Actor {
      public:
@@ -138,7 +178,7 @@ TEST(EPaxosTest, ConcurrentConflictingWritesConvergeEverywhere) {
 
 TEST(EPaxosTest, HighContentionWorkloadConvergesAndCompletes) {
   sim::Cluster cluster{sim::ClusterOptions{}};
-  Prober* prober = MakeEPaxosCluster(cluster, 5);
+  Prober* prober = MakeCluster(cluster, EPaxosSpec(5));
   cluster.Start();
   cluster.RunFor(10 * kMillisecond);
   // Hammer 3 keys from alternating replicas (paper-style contention).
@@ -166,7 +206,7 @@ TEST(EPaxosTest, HighContentionWorkloadConvergesAndCompletes) {
 
 TEST(EPaxosTest, ReadsObserveConflictingWrites) {
   sim::Cluster cluster{sim::ClusterOptions{}};
-  Prober* prober = MakeEPaxosCluster(cluster, 5);
+  Prober* prober = MakeCluster(cluster, EPaxosSpec(5));
   cluster.Start();
   cluster.RunFor(10 * kMillisecond);
   uint64_t w = prober->Put(1, "ordered", "first");
@@ -181,7 +221,7 @@ TEST(EPaxosTest, ReadsObserveConflictingWrites) {
 
 TEST(EPaxosTest, SingleReplicaDegenerateCluster) {
   sim::Cluster cluster{sim::ClusterOptions{}};
-  Prober* prober = MakeEPaxosCluster(cluster, 1);
+  Prober* prober = MakeCluster(cluster, EPaxosSpec(1));
   cluster.Start();
   cluster.RunFor(10 * kMillisecond);
   uint64_t s = prober->Put(0, "solo", "x");
@@ -192,7 +232,7 @@ TEST(EPaxosTest, SingleReplicaDegenerateCluster) {
 
 TEST(EPaxosTest, DuplicateClientRequestDeduplicated) {
   sim::Cluster cluster{sim::ClusterOptions{}};
-  Prober* prober = MakeEPaxosCluster(cluster, 5);
+  Prober* prober = MakeCluster(cluster, EPaxosSpec(5));
   cluster.Start();
   cluster.RunFor(10 * kMillisecond);
   uint64_t seq = prober->Put(2, "dup", "v");
@@ -207,7 +247,7 @@ TEST(EPaxosTest, DuplicateClientRequestDeduplicated) {
 
 TEST(EPaxosTest, MetricsAccounting) {
   sim::Cluster cluster{sim::ClusterOptions{}};
-  Prober* prober = MakeEPaxosCluster(cluster, 3);
+  Prober* prober = MakeCluster(cluster, EPaxosSpec(3));
   cluster.Start();
   cluster.RunFor(10 * kMillisecond);
   for (int i = 0; i < 8; ++i) {

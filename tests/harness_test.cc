@@ -22,9 +22,9 @@ std::string Slurp(const std::string& path) {
 
 ExperimentConfig SmallConfig(Protocol proto) {
   ExperimentConfig cfg;
-  cfg.protocol = proto;
-  cfg.num_replicas = 5;
-  cfg.relay_groups = 2;
+  cfg.replica.protocol = proto;
+  cfg.replica.num_replicas = 5;
+  cfg.replica.pig.num_relay_groups = 2;
   cfg.num_clients = 8;
   cfg.warmup = 300 * kMillisecond;
   cfg.measure = 700 * kMillisecond;
@@ -76,16 +76,16 @@ TEST(HarnessTest, ThroughputSaturatesWithClients) {
 TEST(HarnessTest, PigBeatsPaxosAt25Nodes) {
   // Miniature Fig. 8 check (shorter windows, saturating load).
   ExperimentConfig cfg;
-  cfg.num_replicas = 25;
-  cfg.relay_groups = 3;
+  cfg.replica.num_replicas = 25;
+  cfg.replica.pig.num_relay_groups = 3;
   cfg.num_clients = 256;
   cfg.warmup = 500 * kMillisecond;
   cfg.measure = 1 * kSecond;
   cfg.seed = 5;
 
-  cfg.protocol = Protocol::kPaxos;
+  cfg.replica.protocol = Protocol::kPaxos;
   RunResult paxos = RunExperiment(cfg);
-  cfg.protocol = Protocol::kPigPaxos;
+  cfg.replica.protocol = Protocol::kPigPaxos;
   RunResult pig = RunExperiment(cfg);
   EXPECT_GT(pig.throughput, paxos.throughput * 2.5)
       << "PigPaxos should beat Paxos by >3x at 25 nodes";
@@ -94,9 +94,9 @@ TEST(HarnessTest, PigBeatsPaxosAt25Nodes) {
 TEST(HarnessTest, MessageLoadMatchesModelAtLightLoad) {
   // Miniature Table 1 check: leader handles ~2r+2 messages per request.
   ExperimentConfig cfg;
-  cfg.protocol = Protocol::kPigPaxos;
-  cfg.num_replicas = 9;
-  cfg.relay_groups = 3;
+  cfg.replica.protocol = Protocol::kPigPaxos;
+  cfg.replica.num_replicas = 9;
+  cfg.replica.pig.num_relay_groups = 3;
   cfg.num_clients = 2;
   cfg.warmup = 300 * kMillisecond;
   cfg.measure = 1 * kSecond;
@@ -107,10 +107,11 @@ TEST(HarnessTest, MessageLoadMatchesModelAtLightLoad) {
 
 TEST(HarnessTest, WanTopologyHasLatencyFloor) {
   ExperimentConfig cfg;
-  cfg.protocol = Protocol::kPigPaxos;
-  cfg.num_replicas = 9;
-  cfg.relay_groups = 3;
-  cfg.topology = Topology::kWanVaCaOr;
+  cfg.replica.protocol = Protocol::kPigPaxos;
+  cfg.replica.num_replicas = 9;
+  cfg.replica.pig.num_relay_groups = 3;
+  cfg.replica.pig.grouping = pigpaxos::GroupingStrategy::kRegion;
+  cfg.scenario.topology = Topology::kWanVaCaOr;
   cfg.num_clients = 4;
   cfg.warmup = 1 * kSecond;
   cfg.measure = 2 * kSecond;
@@ -124,13 +125,13 @@ TEST(HarnessTest, WanTopologyHasLatencyFloor) {
 
 TEST(HarnessTest, CrashInjectionReflectsInTimeline) {
   ExperimentConfig cfg = SmallConfig(Protocol::kPigPaxos);
-  cfg.num_replicas = 5;
+  cfg.replica.num_replicas = 5;
   cfg.warmup = 0;
   cfg.measure = 4 * kSecond;
   cfg.num_clients = 16;
   // Crash the leader at t=1s; a new leader must take over and the
   // timeline must show completions near the end of the run.
-  cfg.crash_at = {{1 * kSecond, 0}};
+  cfg.scenario.schedule = {CrashEvent(1 * kSecond, 0)};
   RunResult res = RunExperiment(cfg);
   ASSERT_GE(res.timeline.size(), 4u);
   EXPECT_GT(res.timeline[0], 0u);

@@ -162,30 +162,18 @@ std::vector<HistoryOp> RecordHistory(Proto proto, uint64_t seed) {
   switch (proto) {
     case Proto::kPaxos: {
       paxos::PaxosOptions opt;
-      opt.num_replicas = kNodes;
-      for (NodeId i = 0; i < kNodes; ++i) {
-        cluster.AddReplica(i,
-                           std::make_unique<paxos::PaxosReplica>(i, opt));
-      }
+      AddReplicas(cluster, PaxosSpec(kNodes, opt));
       break;
     }
     case Proto::kPig: {
       pigpaxos::PigPaxosOptions opt;
-      opt.paxos.num_replicas = kNodes;
       opt.num_relay_groups = 2;
-      for (NodeId i = 0; i < kNodes; ++i) {
-        cluster.AddReplica(
-            i, std::make_unique<pigpaxos::PigPaxosReplica>(i, opt));
-      }
+      AddReplicas(cluster, PigSpec(kNodes, opt));
       break;
     }
     case Proto::kEPaxos: {
       epaxos::EPaxosOptions opt;
-      opt.num_replicas = kNodes;
-      for (NodeId i = 0; i < kNodes; ++i) {
-        cluster.AddReplica(i,
-                           std::make_unique<epaxos::EPaxosReplica>(i, opt));
-      }
+      AddReplicas(cluster, EPaxosSpec(kNodes, opt));
       break;
     }
   }

@@ -100,7 +100,7 @@ TEST(TrafficAccountingTest, SendsEqualReceivesPlusDrops) {
   copt.seed = 4;
   copt.network.drop_probability = 0.1;
   sim::Cluster cluster(copt);
-  Prober* prober = MakePaxosCluster(cluster, 5);
+  Prober* prober = MakeCluster(cluster, PaxosSpec(5));
   cluster.Start();
   cluster.RunFor(200 * kMillisecond);
   for (int i = 0; i < 20; ++i) {
@@ -117,7 +117,7 @@ TEST(TrafficAccountingTest, SendsEqualReceivesPlusDrops) {
 TEST(TrafficAccountingTest, ByteCountsMatchWireSizes) {
   sim::ClusterOptions copt;
   sim::Cluster cluster(copt);
-  Prober* prober = MakePaxosCluster(cluster, 3);
+  Prober* prober = MakeCluster(cluster, PaxosSpec(3));
   cluster.Start();
   cluster.RunFor(100 * kMillisecond);
   cluster.network().ResetStats();
@@ -141,12 +141,8 @@ TEST(CpuUtilizationTest, BusyLeaderSaturates) {
   copt.seed = 8;
   sim::Cluster cluster(copt);
   pigpaxos::PigPaxosOptions opt;
-  opt.paxos.num_replicas = 9;
   opt.num_relay_groups = 2;
-  for (NodeId i = 0; i < 9; ++i) {
-    cluster.AddReplica(
-        i, std::make_unique<pigpaxos::PigPaxosReplica>(i, opt));
-  }
+  AddReplicas(cluster, PigSpec(9, opt));
   auto recorder = std::make_shared<client::Recorder>();
   recorder->SetWindow(0, 10 * kSecond);
   for (uint32_t c = 0; c < 128; ++c) {

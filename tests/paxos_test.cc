@@ -9,7 +9,7 @@ namespace {
 
 TEST(PaxosTest, BootstrapElectsLeaderZero) {
   sim::Cluster cluster{sim::ClusterOptions{}};
-  MakePaxosCluster(cluster, 5);
+  MakeCluster(cluster, PaxosSpec(5));
   cluster.Start();
   cluster.RunFor(100 * kMillisecond);
   EXPECT_EQ(FindLeader(cluster, 5), 0u);
@@ -18,7 +18,7 @@ TEST(PaxosTest, BootstrapElectsLeaderZero) {
 
 TEST(PaxosTest, CommitsAndRepliesToClient) {
   sim::Cluster cluster{sim::ClusterOptions{}};
-  Prober* prober = MakePaxosCluster(cluster, 5);
+  Prober* prober = MakeCluster(cluster, PaxosSpec(5));
   cluster.Start();
   cluster.RunFor(100 * kMillisecond);
   uint64_t s1 = prober->Put(0, "apple", "red");
@@ -36,7 +36,7 @@ TEST(PaxosTest, CommitsAndRepliesToClient) {
 
 TEST(PaxosTest, AllReplicasApplyCommands) {
   sim::Cluster cluster{sim::ClusterOptions{}};
-  Prober* prober = MakePaxosCluster(cluster, 5);
+  Prober* prober = MakeCluster(cluster, PaxosSpec(5));
   cluster.Start();
   cluster.RunFor(100 * kMillisecond);
   for (int i = 0; i < 20; ++i) {
@@ -54,7 +54,7 @@ TEST(PaxosTest, AllReplicasApplyCommands) {
 
 TEST(PaxosTest, NonLeaderRedirects) {
   sim::Cluster cluster{sim::ClusterOptions{}};
-  Prober* prober = MakePaxosCluster(cluster, 5);
+  Prober* prober = MakeCluster(cluster, PaxosSpec(5));
   cluster.Start();
   cluster.RunFor(100 * kMillisecond);
   prober->Put(3, "x", "y");  // node 3 is a follower
@@ -67,7 +67,7 @@ TEST(PaxosTest, NonLeaderRedirects) {
 
 TEST(PaxosTest, DuplicateRequestDeduplicated) {
   sim::Cluster cluster{sim::ClusterOptions{}};
-  Prober* prober = MakePaxosCluster(cluster, 5);
+  Prober* prober = MakeCluster(cluster, PaxosSpec(5));
   cluster.Start();
   cluster.RunFor(100 * kMillisecond);
   uint64_t seq = prober->Put(0, "dup", "v1");
@@ -88,7 +88,7 @@ TEST(PaxosTest, DuplicateRequestDeduplicated) {
 
 TEST(PaxosTest, LeaderFailoverElectsNewLeaderAndPreservesData) {
   sim::Cluster cluster{sim::ClusterOptions{}};
-  Prober* prober = MakePaxosCluster(cluster, 5);
+  Prober* prober = MakeCluster(cluster, PaxosSpec(5));
   cluster.Start();
   cluster.RunFor(100 * kMillisecond);
   uint64_t s1 = prober->Put(0, "stable", "value");
@@ -116,7 +116,7 @@ TEST(PaxosTest, LeaderFailoverElectsNewLeaderAndPreservesData) {
 
 TEST(PaxosTest, OldLeaderRejoinsAsFollower) {
   sim::Cluster cluster{sim::ClusterOptions{}};
-  Prober* prober = MakePaxosCluster(cluster, 5);
+  Prober* prober = MakeCluster(cluster, PaxosSpec(5));
   cluster.Start();
   cluster.RunFor(100 * kMillisecond);
   prober->Put(0, "a", "1");
@@ -144,7 +144,7 @@ TEST(PaxosTest, ProgressUnderMessageLoss) {
   opt.seed = 3;
   opt.network.drop_probability = 0.05;  // 5% loss
   sim::Cluster cluster(opt);
-  Prober* prober = MakePaxosCluster(cluster, 5);
+  Prober* prober = MakeCluster(cluster, PaxosSpec(5));
   cluster.Start();
   cluster.RunFor(200 * kMillisecond);
   // The client link is lossy too, so retry each command while it is the
@@ -171,7 +171,7 @@ TEST(PaxosTest, ProgressUnderMessageLoss) {
 
 TEST(PaxosTest, FollowerCatchesUpViaLogSync) {
   sim::Cluster cluster{sim::ClusterOptions{}};
-  Prober* prober = MakePaxosCluster(cluster, 3);
+  Prober* prober = MakeCluster(cluster, PaxosSpec(3));
   cluster.Start();
   cluster.RunFor(100 * kMillisecond);
   // Cut node 2 off, commit through 0+1, then heal.
@@ -189,7 +189,7 @@ TEST(PaxosTest, FollowerCatchesUpViaLogSync) {
 
 TEST(PaxosTest, MinorityPartitionCannotCommit) {
   sim::Cluster cluster{sim::ClusterOptions{}};
-  Prober* prober = MakePaxosCluster(cluster, 5);
+  Prober* prober = MakeCluster(cluster, PaxosSpec(5));
   cluster.Start();
   cluster.RunFor(100 * kMillisecond);
   // Leader (0) isolated with node 1: a minority.
@@ -213,7 +213,7 @@ TEST(PaxosTest, MinorityPartitionCannotCommit) {
 
 TEST(PaxosTest, SingleNodeClusterCommitsAlone) {
   sim::Cluster cluster{sim::ClusterOptions{}};
-  Prober* prober = MakePaxosCluster(cluster, 1);
+  Prober* prober = MakeCluster(cluster, PaxosSpec(1));
   cluster.Start();
   cluster.RunFor(50 * kMillisecond);
   uint64_t seq = prober->Put(0, "solo", "run");
@@ -223,7 +223,7 @@ TEST(PaxosTest, SingleNodeClusterCommitsAlone) {
 
 TEST(PaxosTest, ThreeNodeClusterSurvivesOneCrash) {
   sim::Cluster cluster{sim::ClusterOptions{}};
-  Prober* prober = MakePaxosCluster(cluster, 3);
+  Prober* prober = MakeCluster(cluster, PaxosSpec(3));
   cluster.Start();
   cluster.RunFor(100 * kMillisecond);
   cluster.Crash(2);
@@ -236,7 +236,7 @@ TEST(PaxosTest, FlexibleQuorumCommitsWithSmallQ2) {
   paxos::PaxosOptions opt;
   opt.quorum = std::make_shared<FlexibleQuorum>(5, 4, 2);
   sim::Cluster cluster{sim::ClusterOptions{}};
-  Prober* prober = MakePaxosCluster(cluster, 5, opt);
+  Prober* prober = MakeCluster(cluster, PaxosSpec(5, opt));
   cluster.Start();
   cluster.RunFor(100 * kMillisecond);
   // With q2=2 the leader needs only one follower ack; crash three
@@ -253,7 +253,7 @@ TEST(PaxosTest, CompactionBoundsMemory) {
   paxos::PaxosOptions opt;
   opt.compaction_window = 16;
   sim::Cluster cluster{sim::ClusterOptions{}};
-  Prober* prober = MakePaxosCluster(cluster, 3, opt);
+  Prober* prober = MakeCluster(cluster, PaxosSpec(3, opt));
   cluster.Start();
   cluster.RunFor(100 * kMillisecond);
   for (int i = 0; i < 200; ++i) {
@@ -267,7 +267,7 @@ TEST(PaxosTest, CompactionBoundsMemory) {
 
 TEST(PaxosTest, MetricsCountCommits) {
   sim::Cluster cluster{sim::ClusterOptions{}};
-  Prober* prober = MakePaxosCluster(cluster, 3);
+  Prober* prober = MakeCluster(cluster, PaxosSpec(3));
   cluster.Start();
   cluster.RunFor(100 * kMillisecond);
   for (int i = 0; i < 10; ++i) {

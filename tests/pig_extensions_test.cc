@@ -48,11 +48,10 @@ TEST(PigExtensionsTest, OverlapKeepsCommittingUnderLoss) {
   copt.network.drop_probability = 0.08;
   sim::Cluster cluster(copt);
   PigPaxosOptions opt;
-  opt.paxos.num_replicas = 9;
   opt.num_relay_groups = 2;
   opt.group_overlap = 2;
   opt.relay_timeout = 20 * kMillisecond;
-  Prober* prober = MakePigCluster(cluster, 9, opt);
+  Prober* prober = MakeCluster(cluster, PigSpec(9, opt));
   cluster.Start();
   cluster.RunFor(300 * kMillisecond);
   // The client links are lossy too: retry each command while current
@@ -80,10 +79,9 @@ TEST(PigExtensionsTest, OverlapDuplicateVotesAreIdempotent) {
   // produces duplicate P2bs at the leader, which must count once.
   sim::Cluster cluster{sim::ClusterOptions{}};
   PigPaxosOptions opt;
-  opt.paxos.num_replicas = 5;
   opt.num_relay_groups = 2;
   opt.group_overlap = 2;  // groups of 2+2 borrow 2 => full overlap
-  Prober* prober = MakePigCluster(cluster, 5, opt);
+  Prober* prober = MakeCluster(cluster, PigSpec(5, opt));
   cluster.Start();
   cluster.RunFor(200 * kMillisecond);
   for (int i = 0; i < 10; ++i) {
@@ -100,11 +98,10 @@ TEST(PigExtensionsTest, OverlapDuplicateVotesAreIdempotent) {
 TEST(PigExtensionsTest, SuspicionAvoidsDeadRelays) {
   sim::Cluster cluster{sim::ClusterOptions{}};
   PigPaxosOptions opt;
-  opt.paxos.num_replicas = 9;
   opt.num_relay_groups = 2;
   opt.relay_timeout = 10 * kMillisecond;
   opt.suspicion_duration = 10 * kSecond;
-  Prober* prober = MakePigCluster(cluster, 9, opt);
+  Prober* prober = MakeCluster(cluster, PigSpec(9, opt));
   cluster.Start();
   cluster.RunFor(200 * kMillisecond);
   cluster.Crash(2);  // follower in group 1
@@ -132,11 +129,10 @@ TEST(PigExtensionsTest, SuspicionAvoidsDeadRelays) {
 TEST(PigExtensionsTest, SuspicionClearsAfterRecovery) {
   sim::Cluster cluster{sim::ClusterOptions{}};
   PigPaxosOptions opt;
-  opt.paxos.num_replicas = 5;
   opt.num_relay_groups = 2;
   opt.relay_timeout = 10 * kMillisecond;
   opt.suspicion_duration = 500 * kMillisecond;
-  Prober* prober = MakePigCluster(cluster, 5, opt);
+  Prober* prober = MakeCluster(cluster, PigSpec(5, opt));
   cluster.Start();
   cluster.RunFor(200 * kMillisecond);
   cluster.Crash(4);
@@ -158,11 +154,10 @@ TEST(PigExtensionsTest, SuspicionClearsAfterRecovery) {
 TEST(PigExtensionsTest, ThreeLayerTreeCommits) {
   sim::Cluster cluster{sim::ClusterOptions{}};
   PigPaxosOptions opt;
-  opt.paxos.num_replicas = 25;
   opt.num_relay_groups = 2;
   opt.relay_layers = 3;
   opt.sub_groups = 2;
-  Prober* prober = MakePigCluster(cluster, 25, opt);
+  Prober* prober = MakeCluster(cluster, PigSpec(25, opt));
   cluster.Start();
   cluster.RunFor(300 * kMillisecond);
   for (int i = 0; i < 5; ++i) {
@@ -211,11 +206,8 @@ class PqrProber : public Actor {
 TEST(QuorumReadIntegrationTest, ReadsCommittedValueFromFollowers) {
   sim::Cluster cluster{sim::ClusterOptions{}};
   pigpaxos::PigPaxosOptions opt;
-  opt.paxos.num_replicas = 5;
   opt.num_relay_groups = 2;
-  for (NodeId i = 0; i < 5; ++i) {
-    cluster.AddReplica(i, std::make_unique<PigPaxosReplica>(i, opt));
-  }
+  AddReplicas(cluster, PigSpec(5, opt));
   auto write_prober = std::make_unique<Prober>();
   Prober* writer = write_prober.get();
   cluster.AddClient(sim::Cluster::MakeClientId(0), std::move(write_prober));
@@ -247,12 +239,9 @@ TEST(QuorumReadIntegrationTest, PendingWriteSetsRinseFlag) {
   // with one follower so the write stays uncommitted at that follower.
   sim::Cluster cluster{sim::ClusterOptions{}};
   paxos::PaxosOptions opt;
-  opt.num_replicas = 5;
   opt.election_timeout_min = 20 * kSecond;  // freeze leadership changes
   opt.election_timeout_max = 30 * kSecond;
-  for (NodeId i = 0; i < 5; ++i) {
-    cluster.AddReplica(i, std::make_unique<paxos::PaxosReplica>(i, opt));
-  }
+  AddReplicas(cluster, PaxosSpec(5, opt));
   auto write_prober = std::make_unique<Prober>();
   Prober* writer = write_prober.get();
   cluster.AddClient(sim::Cluster::MakeClientId(0), std::move(write_prober));

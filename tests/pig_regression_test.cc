@@ -34,9 +34,10 @@ TEST(PigRegressionTest, ConstructorBuildsPlannerFromMovedOptions) {
   sim::Cluster cluster{sim::ClusterOptions{}};
   PigPaxosOptions opt;
   opt.num_relay_groups = 3;
+  // The factory supplies region_of (a move-sensitive std::function):
+  // on 9 nodes the WAN blocks are {0-2}, {3-5}, {6-8}.
   opt.grouping = GroupingStrategy::kRegion;
-  opt.region_of = [](NodeId n) { return static_cast<int>(n / 3); };
-  MakePigCluster(cluster, 9, opt);
+  MakeCluster(cluster, PigSpec(9, opt));
 
   for (NodeId id = 0; id < 9; ++id) {
     const auto& planner = PigAt(cluster, id)->planner();
@@ -90,7 +91,7 @@ TEST(PigRegressionTest, TimedOutEmptyAggregationSendsFinalResponse) {
   opt.paxos.heartbeat_interval = 10 * kSecond;  // silence background
   opt.paxos.election_timeout_min = 20 * kSecond;  // traffic entirely
   opt.paxos.election_timeout_max = 30 * kSecond;
-  MakePigCluster(cluster, 5, opt);
+  MakeCluster(cluster, PigSpec(5, opt));
   auto probe_owner = std::make_unique<RelayProbe>();
   RelayProbe* probe = probe_owner.get();
   cluster.AddClient(sim::Cluster::MakeClientId(1), std::move(probe_owner));
@@ -180,7 +181,7 @@ TEST(PigRegressionTest, CoalescedEarlyBatchesCountOncePerUplink) {
   opt.paxos.election_timeout_min = 20 * kSecond;  // traffic entirely
   opt.paxos.election_timeout_max = 30 * kSecond;
   opt.paxos.bootstrap_leader = kInvalidNode;
-  MakePigCluster(cluster, 5, opt);
+  MakeCluster(cluster, PigSpec(5, opt));
   auto probe_owner = std::make_unique<BundleProbe>();
   BundleProbe* probe = probe_owner.get();
   cluster.AddClient(sim::Cluster::MakeClientId(1), std::move(probe_owner));
@@ -243,7 +244,7 @@ TEST(PigRegressionTest, DeepTreeCoalescingDoesNotSuspectHealthyRelays) {
   opt.relay_timeout = 20 * kMillisecond;
   opt.uplink_coalesce_max = 16;                // never filled at this load:
   opt.uplink_flush_delay = 15 * kMillisecond;  // every hop holds 15 ms
-  Prober* prober = MakePigCluster(cluster, 25, opt);
+  Prober* prober = MakeCluster(cluster, PigSpec(25, opt));
   cluster.Start();
   cluster.RunFor(500 * kMillisecond);
   ASSERT_EQ(FindLeader(cluster, 25), 0u);
@@ -321,7 +322,7 @@ TEST(PigRegressionTest, ExpiredSuspicionEntriesArePruned) {
   opt.paxos.heartbeat_interval = 10 * kSecond;    // silence background
   opt.paxos.election_timeout_min = 20 * kSecond;  // traffic entirely
   opt.paxos.election_timeout_max = 30 * kSecond;
-  Prober* prober = MakePigCluster(cluster, 5, opt);
+  Prober* prober = MakeCluster(cluster, PigSpec(5, opt));
   cluster.Start();
   cluster.RunFor(100 * kMillisecond);
   ASSERT_EQ(FindLeader(cluster, 5), 0u);
@@ -361,7 +362,7 @@ TEST(PigRegressionTest, ReshuffleTimerRunsOnlyOnTheLeader) {
   PigPaxosOptions opt;
   opt.num_relay_groups = 2;
   opt.reshuffle_interval = 50 * kMillisecond;
-  MakePigCluster(cluster, 5, opt);
+  MakeCluster(cluster, PigSpec(5, opt));
   cluster.Start();
   cluster.RunFor(400 * kMillisecond);
   ASSERT_EQ(FindLeader(cluster, 5), 0u);
@@ -417,7 +418,7 @@ TEST(PigRegressionTest, OverlapDoubleDeliveryNeverFakesQuorum) {
   opt.paxos.heartbeat_interval = 10 * kSecond;
   opt.paxos.election_timeout_min = 20 * kSecond;
   opt.paxos.election_timeout_max = 30 * kSecond;
-  Prober* prober = MakePigCluster(cluster, 5, opt);
+  Prober* prober = MakeCluster(cluster, PigSpec(5, opt));
   cluster.Start();
   cluster.RunFor(100 * kMillisecond);
   ASSERT_EQ(FindLeader(cluster, 5), 0u);
@@ -465,7 +466,7 @@ TEST(PigRegressionTest, OneWayDeadUplinkRelayIsSuspected) {
   opt.paxos.propose_retry_timeout = 100 * kMillisecond;
   opt.paxos.election_timeout_min = 20 * kSecond;  // leader 0 stays put
   opt.paxos.election_timeout_max = 30 * kSecond;
-  Prober* prober = MakePigCluster(cluster, 9, opt);
+  Prober* prober = MakeCluster(cluster, PigSpec(9, opt));
   cluster.Start();
   cluster.RunFor(200 * kMillisecond);
   ASSERT_EQ(FindLeader(cluster, 9), 0u);

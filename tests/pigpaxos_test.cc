@@ -92,7 +92,7 @@ TEST(PigPaxosTest, CommitsThroughRelays) {
   sim::Cluster cluster{sim::ClusterOptions{}};
   PigPaxosOptions opt;
   opt.num_relay_groups = 2;
-  Prober* prober = MakePigCluster(cluster, 5, opt);
+  Prober* prober = MakeCluster(cluster, PigSpec(5, opt));
   cluster.Start();
   cluster.RunFor(100 * kMillisecond);
   EXPECT_EQ(FindLeader(cluster, 5), 0u);
@@ -123,7 +123,7 @@ TEST(PigPaxosTest, LeaderTalksOnlyToRelays) {
   opt.paxos.heartbeat_interval = 10 * kSecond;  // silence heartbeats
   opt.paxos.election_timeout_min = 20 * kSecond;  // ...and elections
   opt.paxos.election_timeout_max = 30 * kSecond;
-  Prober* prober = MakePigCluster(cluster, 25, opt);
+  Prober* prober = MakeCluster(cluster, PigSpec(25, opt));
   cluster.Start();
   cluster.RunFor(300 * kMillisecond);
   cluster.network().ResetStats();
@@ -143,7 +143,7 @@ TEST(PigPaxosTest, AllReplicasConvergeViaRelays) {
   sim::Cluster cluster{sim::ClusterOptions{}};
   PigPaxosOptions opt;
   opt.num_relay_groups = 3;
-  Prober* prober = MakePigCluster(cluster, 9, opt);
+  Prober* prober = MakeCluster(cluster, PigSpec(9, opt));
   cluster.Start();
   cluster.RunFor(100 * kMillisecond);
   for (int i = 0; i < 20; ++i) {
@@ -162,7 +162,7 @@ TEST(PigPaxosTest, RelayRotationSpreadsLoad) {
   sim::Cluster cluster{sim::ClusterOptions{}};
   PigPaxosOptions opt;
   opt.num_relay_groups = 1;  // 4 followers, one group
-  Prober* prober = MakePigCluster(cluster, 5, opt);
+  Prober* prober = MakeCluster(cluster, PigSpec(5, opt));
   cluster.Start();
   cluster.RunFor(100 * kMillisecond);
   for (int i = 0; i < 60; ++i) {
@@ -183,7 +183,7 @@ TEST(PigPaxosTest, FollowerFailureTriggersRelayTimeoutButCommits) {
   PigPaxosOptions opt;
   opt.num_relay_groups = 2;
   opt.relay_timeout = 20 * kMillisecond;
-  Prober* prober = MakePigCluster(cluster, 7, opt);
+  Prober* prober = MakeCluster(cluster, PigSpec(7, opt));
   cluster.Start();
   cluster.RunFor(100 * kMillisecond);
   cluster.Crash(6);  // a follower (leaf or relay)
@@ -205,7 +205,7 @@ TEST(PigPaxosTest, RelayCrashRecoveredByLeaderRetry) {
   opt.num_relay_groups = 2;
   opt.relay_timeout = 20 * kMillisecond;
   opt.paxos.propose_retry_timeout = 40 * kMillisecond;
-  Prober* prober = MakePigCluster(cluster, 7, opt);
+  Prober* prober = MakeCluster(cluster, PigSpec(7, opt));
   cluster.Start();
   cluster.RunFor(100 * kMillisecond);
   // Contiguous groups over followers {1..6}: group0={1,2,3}, group1={4,5,6}.
@@ -226,7 +226,7 @@ TEST(PigPaxosTest, LeaderFailoverWorksThroughRelays) {
   sim::Cluster cluster{sim::ClusterOptions{}};
   PigPaxosOptions opt;
   opt.num_relay_groups = 2;
-  Prober* prober = MakePigCluster(cluster, 5, opt);
+  Prober* prober = MakeCluster(cluster, PigSpec(5, opt));
   cluster.Start();
   cluster.RunFor(100 * kMillisecond);
   uint64_t s1 = prober->Put(0, "pre", "crash");
@@ -255,7 +255,7 @@ TEST(PigPaxosTest, PartialResponsesCutRelayWait) {
   opt.num_relay_groups = 1;  // followers {1..6} in one group
   opt.group_response_threshold = 4;
   opt.relay_timeout = 200 * kMillisecond;  // long, so timeout can't help
-  Prober* prober = MakePigCluster(cluster, 7, opt);
+  Prober* prober = MakeCluster(cluster, PigSpec(7, opt));
   cluster.Start();
   cluster.RunFor(100 * kMillisecond);
   cluster.Crash(6);
@@ -275,7 +275,7 @@ TEST(PigPaxosTest, MultiLayerTreeStillCommits) {
   opt.num_relay_groups = 2;
   opt.relay_layers = 2;
   opt.sub_groups = 2;
-  Prober* prober = MakePigCluster(cluster, 15, opt);
+  Prober* prober = MakeCluster(cluster, PigSpec(15, opt));
   cluster.Start();
   cluster.RunFor(100 * kMillisecond);
   for (int i = 0; i < 10; ++i) {
@@ -291,7 +291,7 @@ TEST(PigPaxosTest, DynamicReshuffleKeepsCommitting) {
   PigPaxosOptions opt;
   opt.num_relay_groups = 2;
   opt.reshuffle_interval = 50 * kMillisecond;
-  Prober* prober = MakePigCluster(cluster, 9, opt);
+  Prober* prober = MakeCluster(cluster, PigSpec(9, opt));
   cluster.Start();
   cluster.RunFor(100 * kMillisecond);
   for (int i = 0; i < 20; ++i) {
@@ -315,18 +315,17 @@ TEST(PigPaxosTest, WanCrossRegionTrafficMatchesPaper) {
     Prober* prober;
     if (pig) {
       PigPaxosOptions opt;
-      opt.grouping = GroupingStrategy::kRegion;
-      opt.region_of = [](NodeId n) { return static_cast<int>(n / 3); };
+      opt.grouping = GroupingStrategy::kRegion;  // regions n / 3
       opt.paxos.heartbeat_interval = 10 * kSecond;
       opt.paxos.election_timeout_min = 20 * kSecond;  // silence timers
       opt.paxos.election_timeout_max = 30 * kSecond;
-      prober = MakePigCluster(cluster, 9, opt);
+      prober = MakeCluster(cluster, PigSpec(9, opt));
     } else {
       paxos::PaxosOptions opt;
       opt.heartbeat_interval = 10 * kSecond;
       opt.election_timeout_min = 20 * kSecond;
       opt.election_timeout_max = 30 * kSecond;
-      prober = MakePaxosCluster(cluster, 9, opt);
+      prober = MakeCluster(cluster, PaxosSpec(9, opt));
     }
     cluster.Start();
     cluster.RunFor(500 * kMillisecond);
@@ -349,7 +348,7 @@ TEST(PigPaxosTest, RejectFastTrackOnStaleBallot) {
   sim::Cluster cluster{sim::ClusterOptions{}};
   PigPaxosOptions opt;
   opt.num_relay_groups = 2;
-  Prober* prober = MakePigCluster(cluster, 5, opt);
+  Prober* prober = MakeCluster(cluster, PigSpec(5, opt));
   cluster.Start();
   cluster.RunFor(100 * kMillisecond);
   ASSERT_EQ(FindLeader(cluster, 5), 0u);

@@ -38,20 +38,12 @@ TEST_P(ConsensusChaosTest, SafetyUnderChaos) {
 
   if (p.use_pig) {
     pigpaxos::PigPaxosOptions opt;
-    opt.paxos.num_replicas = kNodes;
     opt.num_relay_groups = 2;
     opt.relay_timeout = 20 * kMillisecond;
-    for (NodeId i = 0; i < kNodes; ++i) {
-      cluster.AddReplica(
-          i, std::make_unique<pigpaxos::PigPaxosReplica>(i, opt));
-    }
+    AddReplicas(cluster, PigSpec(kNodes, opt));
   } else {
     paxos::PaxosOptions opt;
-    opt.num_replicas = kNodes;
-    for (NodeId i = 0; i < kNodes; ++i) {
-      cluster.AddReplica(i,
-                         std::make_unique<paxos::PaxosReplica>(i, opt));
-    }
+    AddReplicas(cluster, PaxosSpec(kNodes, opt));
   }
 
   auto recorder = std::make_shared<client::Recorder>();
@@ -132,12 +124,8 @@ TEST_P(PartitionHealTest, NoForksAcrossPartitions) {
   copt.seed = GetParam();
   sim::Cluster cluster(copt);
   pigpaxos::PigPaxosOptions opt;
-  opt.paxos.num_replicas = kNodes;
   opt.num_relay_groups = 2;
-  for (NodeId i = 0; i < kNodes; ++i) {
-    cluster.AddReplica(i,
-                       std::make_unique<pigpaxos::PigPaxosReplica>(i, opt));
-  }
+  AddReplicas(cluster, PigSpec(kNodes, opt));
   auto recorder = std::make_shared<client::Recorder>();
   recorder->SetWindow(0, 60 * kSecond);
   for (uint32_t i = 0; i < 3; ++i) {
@@ -201,17 +189,13 @@ TEST_P(PipelinedFlexQuorumTest, CommittedSlotsSurviveLeaderFailover) {
   sim::Cluster cluster(copt);
 
   pigpaxos::PigPaxosOptions opt;
-  opt.paxos.num_replicas = kNodes;
   opt.paxos.quorum = std::make_shared<FlexibleQuorum>(kNodes, 4, 2);
   opt.paxos.batch_size = 4;
   opt.paxos.pipeline_depth = p.pipeline_depth;
   opt.paxos.compaction_window = 1u << 30;  // keep every slot inspectable
   opt.num_relay_groups = 2;
   opt.relay_timeout = 20 * kMillisecond;
-  for (NodeId i = 0; i < kNodes; ++i) {
-    cluster.AddReplica(i,
-                       std::make_unique<pigpaxos::PigPaxosReplica>(i, opt));
-  }
+  AddReplicas(cluster, PigSpec(kNodes, opt));
   auto recorder = std::make_shared<client::Recorder>();
   recorder->SetWindow(0, 60 * kSecond);
   for (uint32_t i = 0; i < 6; ++i) {
@@ -289,7 +273,7 @@ TEST_P(EPaxosConvergenceTest, ConflictingWritesConverge) {
   sim::ClusterOptions copt;
   copt.seed = GetParam();
   sim::Cluster cluster(copt);
-  Prober* prober = MakeEPaxosCluster(cluster, kNodes);
+  Prober* prober = MakeCluster(cluster, EPaxosSpec(kNodes));
   cluster.Start();
   cluster.RunFor(10 * kMillisecond);
 
@@ -328,12 +312,8 @@ TEST(DeterminismTest, IdenticalSeedsIdenticalHistories) {
     copt.network.drop_probability = 0.01;
     sim::Cluster cluster(copt);
     pigpaxos::PigPaxosOptions opt;
-    opt.paxos.num_replicas = 5;
     opt.num_relay_groups = 2;
-    for (NodeId i = 0; i < 5; ++i) {
-      cluster.AddReplica(
-          i, std::make_unique<pigpaxos::PigPaxosReplica>(i, opt));
-    }
+    AddReplicas(cluster, PigSpec(5, opt));
     auto recorder = std::make_shared<client::Recorder>();
     recorder->SetWindow(0, 10 * kSecond);
     for (uint32_t i = 0; i < 4; ++i) {

@@ -25,33 +25,28 @@ namespace {
 /// test so the storages outlive the replicas that hold pointers to them.
 using StorageBank = std::vector<std::unique_ptr<storage::MemStorage>>;
 
-/// MakePaxosCluster with one MemStorage per replica and a rebuild hook
+/// A Paxos MakeCluster with one MemStorage per replica and a rebuild hook
 /// implementing kill -9 semantics: unsynced appends are dropped (or the
 /// whole disk wiped) before the replacement replica recovers.
 Prober* MakeDurableCluster(sim::Cluster& cluster, size_t n,
                            StorageBank& bank,
                            paxos::PaxosOptions opt = {}) {
-  opt.num_replicas = n;
+  const harness::ReplicaSpec spec = PaxosSpec(n, std::move(opt));
   bank.clear();
   for (size_t i = 0; i < n; ++i) {
     bank.push_back(std::make_unique<storage::MemStorage>());
   }
   for (NodeId i = 0; i < n; ++i) {
-    paxos::PaxosOptions node_opt = opt;
-    node_opt.storage = bank[i].get();
-    cluster.AddReplica(i,
-                       std::make_unique<paxos::PaxosReplica>(i, node_opt));
+    cluster.AddReplica(i, harness::MakeReplica(spec, i, 0, bank[i].get()));
   }
   cluster.SetRebuildHook(
-      [&bank, opt](NodeId id, bool lose_disk) -> std::unique_ptr<Actor> {
+      [&bank, spec](NodeId id, bool lose_disk) -> std::unique_ptr<Actor> {
         if (lose_disk) {
           bank[id]->WipeAll();
         } else {
           bank[id]->DropUnsynced();
         }
-        paxos::PaxosOptions node_opt = opt;
-        node_opt.storage = bank[id].get();
-        return std::make_unique<paxos::PaxosReplica>(id, node_opt);
+        return harness::MakeReplica(spec, id, 0, bank[id].get());
       });
   auto prober = std::make_unique<Prober>();
   Prober* p = prober.get();
@@ -254,13 +249,12 @@ TEST(RecoveryTest, PrunedClientRecordStillRejectsStaleRetry) {
   StorageBank bank;
   sim::Cluster cluster{sim::ClusterOptions{}};
   paxos::PaxosOptions opt;
-  opt.num_replicas = 1;
   opt.compaction_window = 8;
   opt.snapshot_interval = 4;
   opt.client_record_horizon = 4;
   bank.push_back(std::make_unique<storage::MemStorage>());
-  opt.storage = bank[0].get();
-  cluster.AddReplica(0, std::make_unique<paxos::PaxosReplica>(0, opt));
+  cluster.AddReplica(0,
+                     harness::MakeReplica(PaxosSpec(1, opt), 0, 0, bank[0].get()));
   auto p0 = std::make_unique<Prober>();
   auto p1 = std::make_unique<Prober>();
   Prober* old_client = p0.get();

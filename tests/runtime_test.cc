@@ -5,11 +5,9 @@
 #include <thread>
 
 #include "epaxos/messages.h"
-#include "epaxos/replica.h"
-#include "paxos/replica.h"
 #include "pigpaxos/messages.h"
-#include "pigpaxos/replica.h"
 #include "runtime/thread_cluster.h"
+#include "test_util.h"
 
 namespace pig {
 namespace {
@@ -24,10 +22,9 @@ class RuntimeTest : public ::testing::Test {
 
 TEST_F(RuntimeTest, PaxosPutGetOverThreads) {
   runtime::ThreadCluster cluster(/*seed=*/1);
-  paxos::PaxosOptions opt;
-  opt.num_replicas = 3;
+  const harness::ReplicaSpec spec = test::PaxosSpec(3);
   for (NodeId i = 0; i < 3; ++i) {
-    cluster.AddActor(i, std::make_unique<paxos::PaxosReplica>(i, opt));
+    cluster.AddActor(i, harness::MakeReplica(spec, i));
   }
   auto client = std::make_unique<runtime::SyncClient>(3);
   runtime::SyncClient* kv = client.get();
@@ -44,12 +41,10 @@ TEST_F(RuntimeTest, PaxosPutGetOverThreads) {
 
 TEST_F(RuntimeTest, PigPaxosPutGetOverThreads) {
   runtime::ThreadCluster cluster(/*seed=*/2);
-  pigpaxos::PigPaxosOptions opt;
-  opt.paxos.num_replicas = 5;
-  opt.num_relay_groups = 2;
+  harness::ReplicaSpec spec = test::PigSpec(5);
+  spec.pig.num_relay_groups = 2;
   for (NodeId i = 0; i < 5; ++i) {
-    cluster.AddActor(i,
-                     std::make_unique<pigpaxos::PigPaxosReplica>(i, opt));
+    cluster.AddActor(i, harness::MakeReplica(spec, i));
   }
   auto client = std::make_unique<runtime::SyncClient>(5);
   runtime::SyncClient* kv = client.get();
@@ -79,10 +74,9 @@ TEST_F(RuntimeTest, PigPaxosPutGetOverThreads) {
 
 TEST_F(RuntimeTest, EPaxosPutGetOverThreads) {
   runtime::ThreadCluster cluster(/*seed=*/3);
-  epaxos::EPaxosOptions opt;
-  opt.num_replicas = 3;
+  const harness::ReplicaSpec spec = test::EPaxosSpec(3);
   for (NodeId i = 0; i < 3; ++i) {
-    cluster.AddActor(i, std::make_unique<epaxos::EPaxosReplica>(i, opt));
+    cluster.AddActor(i, harness::MakeReplica(spec, i));
   }
   auto client = std::make_unique<runtime::SyncClient>(3);
   runtime::SyncClient* kv = client.get();
@@ -98,10 +92,9 @@ TEST_F(RuntimeTest, EPaxosPutGetOverThreads) {
 
 TEST_F(RuntimeTest, RedirectsFollowedAcrossThreads) {
   runtime::ThreadCluster cluster(/*seed=*/4);
-  paxos::PaxosOptions opt;
-  opt.num_replicas = 3;
+  const harness::ReplicaSpec spec = test::PaxosSpec(3);
   for (NodeId i = 0; i < 3; ++i) {
-    cluster.AddActor(i, std::make_unique<paxos::PaxosReplica>(i, opt));
+    cluster.AddActor(i, harness::MakeReplica(spec, i));
   }
   auto client = std::make_unique<runtime::SyncClient>(3);
   runtime::SyncClient* kv = client.get();
@@ -115,10 +108,9 @@ TEST_F(RuntimeTest, RedirectsFollowedAcrossThreads) {
 
 TEST_F(RuntimeTest, ConcurrentClientsSerialize) {
   runtime::ThreadCluster cluster(/*seed=*/5);
-  paxos::PaxosOptions opt;
-  opt.num_replicas = 3;
+  const harness::ReplicaSpec spec = test::PaxosSpec(3);
   for (NodeId i = 0; i < 3; ++i) {
-    cluster.AddActor(i, std::make_unique<paxos::PaxosReplica>(i, opt));
+    cluster.AddActor(i, harness::MakeReplica(spec, i));
   }
   constexpr int kClients = 4;
   runtime::SyncClient* clients[kClients];
@@ -162,10 +154,9 @@ TEST_F(RuntimeTest, CrashedLeaderRedirectReprobes) {
   // node as suspect, keep probing the survivors, and eventually land on
   // the new leader instead of bouncing to the corpse until timeout.
   runtime::ThreadCluster cluster(/*seed=*/7);
-  paxos::PaxosOptions opt;
-  opt.num_replicas = 3;
+  const harness::ReplicaSpec spec = test::PaxosSpec(3);
   for (NodeId i = 0; i < 3; ++i) {
-    cluster.AddActor(i, std::make_unique<paxos::PaxosReplica>(i, opt));
+    cluster.AddActor(i, harness::MakeReplica(spec, i));
   }
   auto client = std::make_unique<runtime::SyncClient>(3);
   runtime::SyncClient* kv = client.get();
@@ -192,10 +183,9 @@ TEST_F(RuntimeTest, RestartedNodeRejoins) {
   // StopNode + RestartNode: a fresh replica in an old slot recovers via
   // the protocol (LogSync) and the cluster keeps serving.
   runtime::ThreadCluster cluster(/*seed=*/8);
-  paxos::PaxosOptions opt;
-  opt.num_replicas = 3;
+  const harness::ReplicaSpec spec = test::PaxosSpec(3);
   for (NodeId i = 0; i < 3; ++i) {
-    cluster.AddActor(i, std::make_unique<paxos::PaxosReplica>(i, opt));
+    cluster.AddActor(i, harness::MakeReplica(spec, i));
   }
   auto client = std::make_unique<runtime::SyncClient>(3);
   runtime::SyncClient* kv = client.get();
@@ -205,7 +195,7 @@ TEST_F(RuntimeTest, RestartedNodeRejoins) {
   ASSERT_TRUE(kv->Execute(OpType::kPut, "a", "1").ok());
   cluster.StopNode(2);
   ASSERT_TRUE(kv->Execute(OpType::kPut, "b", "2").ok());
-  cluster.RestartNode(2, std::make_unique<paxos::PaxosReplica>(2, opt));
+  cluster.RestartNode(2, harness::MakeReplica(spec, 2));
   Result<std::string> put =
       kv->Execute(OpType::kPut, "c", "3", /*timeout=*/10 * kSecond);
   ASSERT_TRUE(put.ok()) << put.status().ToString();
@@ -217,9 +207,7 @@ TEST_F(RuntimeTest, RestartedNodeRejoins) {
 
 TEST_F(RuntimeTest, StopIsIdempotentAndDestructorSafe) {
   auto cluster = std::make_unique<runtime::ThreadCluster>(6);
-  paxos::PaxosOptions opt;
-  opt.num_replicas = 1;
-  cluster->AddActor(0, std::make_unique<paxos::PaxosReplica>(0, opt));
+  cluster->AddActor(0, harness::MakeReplica(test::PaxosSpec(1), 0));
   cluster->Start();
   cluster->Stop();
   cluster->Stop();  // no-op

@@ -217,17 +217,20 @@ TEST(ScenarioConfigTest, GoldenWanChaosReplaysIdentically) {
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
 
   harness::ExperimentConfig cfg;
-  cfg.protocol = harness::Protocol::kPigPaxos;
-  cfg.num_replicas = 9;
-  cfg.relay_groups = 3;
+  cfg.replica.protocol = harness::Protocol::kPigPaxos;
+  cfg.replica.num_replicas = 9;
+  cfg.replica.pig.num_relay_groups = 3;
+  cfg.replica.pig.grouping = pigpaxos::GroupingStrategy::kRegion;
   cfg.num_clients = 8;
   cfg.workload.read_ratio = 0.5;
   cfg.warmup = 200 * kMillisecond;
   cfg.measure = 1500 * kMillisecond;
   cfg.seed = 2026;
 
-  harness::RunResult from_file = RunScenario(loaded.value(), cfg);
-  harness::RunResult from_code = RunScenario(WanChaosProgrammatic(), cfg);
+  cfg.scenario = loaded.value();
+  harness::RunResult from_file = RunExperiment(cfg);
+  cfg.scenario = WanChaosProgrammatic();
+  harness::RunResult from_code = RunExperiment(cfg);
   EXPECT_EQ(from_file.throughput, from_code.throughput);
   EXPECT_EQ(from_file.p50_ms, from_code.p50_ms);
   EXPECT_EQ(from_file.p99_ms, from_code.p99_ms);

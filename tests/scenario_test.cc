@@ -60,11 +60,14 @@ ConformanceResult RunScripted(const ScenarioSpec& spec, bool ring,
                               uint64_t seed, size_t n = 5) {
   ConformanceConfig cfg;
   cfg.name = spec.name + (ring ? "-ring" : "-pig");
-  cfg.use_pig = !ring;
-  cfg.use_ring = ring;
-  cfg.num_replicas = n;
-  cfg.relay_groups = 3;
-  cfg.reshuffle_interval = 300 * kMillisecond;
+  cfg.replica.protocol = ring ? Protocol::kRing : Protocol::kPigPaxos;
+  cfg.replica.num_replicas = n;
+  cfg.replica.pig.num_relay_groups = 3;
+  cfg.replica.pig.reshuffle_interval = 300 * kMillisecond;
+  if (spec.topology == Topology::kWanVaCaOr) {
+    // One relay group per region (§6.4).
+    cfg.replica.pig.grouping = pigpaxos::GroupingStrategy::kRegion;
+  }
   cfg.scenario = spec;
   return RunConformance(cfg, seed);
 }
@@ -110,15 +113,16 @@ TEST(ScenarioEngineTest, GraySlowdownRunsAndRecovers) {
       harness::GraySlowEvent(1200 * kMillisecond, 1, /*start=*/false),
   };
   harness::ExperimentConfig cfg;
-  cfg.protocol = Protocol::kPigPaxos;
-  cfg.num_replicas = 5;
+  cfg.replica.protocol = Protocol::kPigPaxos;
+  cfg.replica.num_replicas = 5;
+  cfg.replica.pig.num_relay_groups = 2;
+  cfg.replica.pig.relay_timeout = 20 * kMillisecond;
   cfg.num_clients = 4;
-  cfg.relay_groups = 2;
-  cfg.relay_timeout = 20 * kMillisecond;
+  cfg.scenario = spec;
   cfg.warmup = 100 * kMillisecond;
   cfg.measure = 1500 * kMillisecond;
   cfg.seed = 5;
-  harness::RunResult r = harness::RunScenario(spec, cfg);
+  harness::RunResult r = harness::RunExperiment(cfg);
   EXPECT_GT(r.completed, 0u);
   // A 30 ms gray delay pushes the sluggish node's relay rounds past the
   // 40 ms ack deadline: the liveness layer must notice (that is what
@@ -138,14 +142,15 @@ TEST(ScenarioEngineTest, RingBaselineCommitsAndFallsBackWhenSevered) {
       harness::CrashEvent(800 * kMillisecond, 2),
   };
   harness::ExperimentConfig cfg;
-  cfg.protocol = Protocol::kRing;
-  cfg.num_replicas = 5;
+  cfg.replica.protocol = Protocol::kRing;
+  cfg.replica.num_replicas = 5;
+  cfg.replica.ring.ring_ack_timeout = 200 * kMillisecond;
   cfg.num_clients = 4;
+  cfg.scenario = spec;
   cfg.warmup = 100 * kMillisecond;
   cfg.measure = 2500 * kMillisecond;
-  cfg.ring_ack_timeout = 200 * kMillisecond;
   cfg.seed = 3;
-  harness::RunResult r = harness::RunScenario(spec, cfg);
+  harness::RunResult r = harness::RunExperiment(cfg);
   EXPECT_GT(r.completed, 0u);
   EXPECT_GT(r.ring_rounds_completed, 0u);   // the ring worked while whole
   EXPECT_GT(r.ring_timeouts, 0u);           // the crash severed it
@@ -166,7 +171,7 @@ TEST(ScenarioSweepTest, SweepCoversConfigsAndIsByteIdentical) {
   axes.overlaps = {0};
   axes.coalesce = {1, 4};
   harness::ExperimentConfig base;
-  base.num_replicas = 9;
+  base.replica.num_replicas = 9;
   base.num_clients = 6;
   base.warmup = 200 * kMillisecond;
   // The schedule heals at 1.4 s; leave every config (including the

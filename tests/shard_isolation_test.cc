@@ -20,10 +20,10 @@ namespace {
 
 ExperimentConfig ShardedConfig() {
   ExperimentConfig cfg;
-  cfg.protocol = Protocol::kPigPaxos;
-  cfg.num_replicas = 9;
-  cfg.num_groups = 4;
-  cfg.relay_groups = 2;
+  cfg.replica.protocol = Protocol::kPigPaxos;
+  cfg.replica.num_replicas = 9;
+  cfg.replica.num_groups = 4;
+  cfg.replica.pig.num_relay_groups = 2;
   cfg.num_clients = 64;
   // Group-affine clients: each client feeds exactly one group, so a
   // crash in group 2 cannot head-of-line block load aimed at the
@@ -48,11 +48,11 @@ TEST(ShardIsolationTest, CrashingOneGroupLeaderLeavesOthersUnharmed) {
 
   // Same config + seed, plus one scripted fault: kill whichever node
   // leads group 2 a third of the way into the measurement window.
-  ScenarioSpec spec;
-  spec.name = "crash-group2-leader";
-  spec.schedule.push_back(CrashGroupLeaderEvent(
+  ExperimentConfig faulted_cfg = ShardedConfig();
+  faulted_cfg.scenario.name = "crash-group2-leader";
+  faulted_cfg.scenario.schedule.push_back(CrashGroupLeaderEvent(
       clean_cfg.warmup + clean_cfg.measure / 3, /*group=*/2));
-  const RunResult faulted = RunScenario(spec, ShardedConfig());
+  const RunResult faulted = RunExperiment(faulted_cfg);
   ASSERT_EQ(faulted.per_group_completed.size(), 4u);
 
   // Group 2 must actually have felt the crash (otherwise the scenario
@@ -78,9 +78,9 @@ TEST(ShardIsolationTest, SingleGroupRunsMatchUnshardedHarness) {
   // num_groups = 1 must be byte-identical to the pre-sharding harness:
   // same seed, same virtual schedule, same counters.
   ExperimentConfig a = ShardedConfig();
-  a.num_groups = 1;
+  a.replica.num_groups = 1;
   ExperimentConfig b = ShardedConfig();
-  b.num_groups = 0;  // normalized to 1 inside the harness
+  b.replica.num_groups = 0;  // normalized to 1 inside the harness
   const RunResult ra = RunExperiment(a);
   const RunResult rb = RunExperiment(b);
   EXPECT_EQ(ra.completed, rb.completed);

@@ -10,8 +10,8 @@
 #include <string>
 
 #include "paxos/replica.h"
+#include "harness/replica_spec.h"
 #include "pigpaxos/messages.h"
-#include "pigpaxos/replica.h"
 #include "runtime/thread_cluster.h"
 #include "shard/messages.h"
 #include "shard/router.h"
@@ -32,17 +32,13 @@ class ShardRuntimeTest : public ::testing::Test {
 
   /// One ShardedNode hosting kGroups PigPaxos replicas, leader of group
   /// g bootstrapped on node g % kNodes — the pig_node assembly.
-  static std::unique_ptr<shard::ShardedNode> MakeNode(NodeId id) {
-    auto node = std::make_unique<shard::ShardedNode>(kGroups);
-    for (uint32_t g = 0; g < kGroups; ++g) {
-      pigpaxos::PigPaxosOptions opt;
-      opt.paxos.num_replicas = kNodes;
-      opt.paxos.bootstrap_leader = static_cast<NodeId>(g % kNodes);
-      opt.num_relay_groups = 2;
-      node->AddGroup(
-          std::make_unique<pigpaxos::PigPaxosReplica>(id, opt));
-    }
-    return node;
+  static std::unique_ptr<Actor> MakeNode(NodeId id) {
+    harness::ReplicaSpec spec;
+    spec.protocol = harness::Protocol::kPigPaxos;
+    spec.num_replicas = kNodes;
+    spec.num_groups = kGroups;
+    spec.pig.num_relay_groups = 2;
+    return harness::MakeNode(spec, id);
   }
 };
 

@@ -141,9 +141,9 @@ TEST(SchedulerTraceTest, MatchesReferenceImplementation) {
 /// totals.
 harness::RunResult Fig7ShapedRun(size_t relay_groups, uint64_t seed) {
   harness::ExperimentConfig cfg;
-  cfg.protocol = harness::Protocol::kPigPaxos;
-  cfg.num_replicas = 9;
-  cfg.relay_groups = relay_groups;
+  cfg.replica.protocol = harness::Protocol::kPigPaxos;
+  cfg.replica.num_replicas = 9;
+  cfg.replica.pig.num_relay_groups = relay_groups;
   cfg.num_clients = 8;
   cfg.workload.read_ratio = 0.5;
   cfg.warmup = 100 * kMillisecond;
@@ -186,17 +186,17 @@ TEST(SimDeterminismTest, DifferentSeedsDiverge) {
 /// report field, byte for byte.
 harness::RunResult BatchedFig7Run(uint64_t seed) {
   harness::ExperimentConfig cfg;
-  cfg.protocol = harness::Protocol::kPigPaxos;
-  cfg.num_replicas = 9;
-  cfg.relay_groups = 3;
+  cfg.replica.protocol = harness::Protocol::kPigPaxos;
+  cfg.replica.num_replicas = 9;
+  cfg.replica.pig.num_relay_groups = 3;
   cfg.num_clients = 8;
   cfg.workload.read_ratio = 0.5;
   cfg.warmup = 100 * kMillisecond;
   cfg.measure = 300 * kMillisecond;
   cfg.seed = seed;
-  cfg.batch_size = 4;
-  cfg.pipeline_depth = 4;
-  cfg.uplink_coalesce_max = 2;
+  cfg.replica.paxos.batch_size = 4;
+  cfg.replica.paxos.pipeline_depth = 4;
+  cfg.replica.pig.uplink_coalesce_max = 2;
   return harness::RunExperiment(cfg);
 }
 
@@ -237,19 +237,19 @@ TEST(SimDeterminismTest, SameSeedBatchedPipelinedRunsAreIdentical) {
 /// the zero-allocation message layer changes no observable behavior.
 harness::RunResult MessageLayerStressRun(uint64_t seed) {
   harness::ExperimentConfig cfg;
-  cfg.protocol = harness::Protocol::kPigPaxos;
-  cfg.num_replicas = 25;
-  cfg.relay_groups = 2;
-  cfg.relay_layers = 2;
-  cfg.group_response_threshold = 4;
+  cfg.replica.protocol = harness::Protocol::kPigPaxos;
+  cfg.replica.num_replicas = 25;
+  cfg.replica.pig.num_relay_groups = 2;
+  cfg.replica.pig.relay_layers = 2;
+  cfg.replica.pig.group_response_threshold = 4;
   cfg.num_clients = 16;
   cfg.workload.read_ratio = 0.5;
   cfg.warmup = 100 * kMillisecond;
   cfg.measure = 300 * kMillisecond;
   cfg.seed = seed;
-  cfg.batch_size = 4;
-  cfg.pipeline_depth = 4;
-  cfg.uplink_coalesce_max = 3;
+  cfg.replica.paxos.batch_size = 4;
+  cfg.replica.paxos.pipeline_depth = 4;
+  cfg.replica.pig.uplink_coalesce_max = 3;
   return harness::RunExperiment(cfg);
 }
 
@@ -283,17 +283,17 @@ TEST(SimDeterminismTest, SameSeedMessageLayerStressRunsAreIdentical) {
 TEST(SimDeterminismTest, DisabledEngineMatchesLegacyPathExactly) {
   harness::RunResult legacy = Fig7ShapedRun(3, 42);
   harness::ExperimentConfig cfg;
-  cfg.protocol = harness::Protocol::kPigPaxos;
-  cfg.num_replicas = 9;
-  cfg.relay_groups = 3;
+  cfg.replica.protocol = harness::Protocol::kPigPaxos;
+  cfg.replica.num_replicas = 9;
+  cfg.replica.pig.num_relay_groups = 3;
   cfg.num_clients = 8;
   cfg.workload.read_ratio = 0.5;
   cfg.warmup = 100 * kMillisecond;
   cfg.measure = 300 * kMillisecond;
   cfg.seed = 42;
-  cfg.batch_size = 1;
-  cfg.pipeline_depth = 1;
-  cfg.uplink_coalesce_max = 1;
+  cfg.replica.paxos.batch_size = 1;
+  cfg.replica.paxos.pipeline_depth = 1;
+  cfg.replica.pig.uplink_coalesce_max = 1;
   harness::RunResult off = harness::RunExperiment(cfg);
   EXPECT_EQ(legacy.completed, off.completed);
   EXPECT_EQ(legacy.total_events, off.total_events);
@@ -389,8 +389,8 @@ void ExpectGolden(const char* name, const harness::RunResult& r,
 harness::ExperimentConfig GoldenBase(harness::Protocol protocol,
                                      size_t replicas) {
   harness::ExperimentConfig cfg;
-  cfg.protocol = protocol;
-  cfg.num_replicas = replicas;
+  cfg.replica.protocol = protocol;
+  cfg.replica.num_replicas = replicas;
   cfg.num_clients = 8;
   cfg.workload.read_ratio = 0.5;
   cfg.warmup = 100 * kMillisecond;
@@ -408,7 +408,7 @@ TEST(SimGoldenTest, Paxos) {
 
 TEST(SimGoldenTest, PigPaxosThreeGroups) {
   harness::ExperimentConfig cfg = GoldenBase(harness::Protocol::kPigPaxos, 9);
-  cfg.relay_groups = 3;
+  cfg.replica.pig.num_relay_groups = 3;
   ExpectGolden("pigpaxos", harness::RunExperiment(cfg), {3026u, 138854u, 0xf412835c83fe409full});
 }
 
@@ -427,8 +427,8 @@ TEST(SimGoldenTest, EPaxos) {
 
 TEST(SimGoldenTest, ShardedPigPaxos) {
   harness::ExperimentConfig cfg = GoldenBase(harness::Protocol::kPigPaxos, 5);
-  cfg.num_groups = 2;
-  cfg.relay_groups = 2;
+  cfg.replica.num_groups = 2;
+  cfg.replica.pig.num_relay_groups = 2;
   ExpectGolden("sharded-pigpaxos", harness::RunExperiment(cfg),
                {3273u, 85151u, 0xe96fb20600041fd7ull});
 }
@@ -440,18 +440,20 @@ TEST(SimGoldenTest, WanRegionPigPaxosUnderCrashRecover) {
   spec.schedule = {harness::CrashEvent(500 * kMillisecond, 4),
                    harness::RecoverEvent(900 * kMillisecond, 4)};
   harness::ExperimentConfig cfg = GoldenBase(harness::Protocol::kPigPaxos, 9);
-  cfg.relay_groups = 3;
+  cfg.replica.pig.num_relay_groups = 3;
+  cfg.replica.pig.grouping = pigpaxos::GroupingStrategy::kRegion;
   cfg.measure = 1500 * kMillisecond;
-  ExpectGolden("wan-region-crash", harness::RunScenario(spec, cfg),
+  cfg.scenario = spec;
+  ExpectGolden("wan-region-crash", harness::RunExperiment(cfg),
                {184u, 10077u, 0xde5fce67449e55adull});
 }
 
 TEST(SimGoldenTest, LanPigPaxosLeaderCrashRecover) {
   // The fig13 shape in miniature: the leader dies and comes back.
   harness::ExperimentConfig cfg = GoldenBase(harness::Protocol::kPigPaxos, 9);
-  cfg.relay_groups = 3;
-  cfg.crash_at = {{150 * kMillisecond, 0}};
-  cfg.recover_at = {{300 * kMillisecond, 0}};
+  cfg.replica.pig.num_relay_groups = 3;
+  cfg.scenario.schedule = {harness::CrashEvent(150 * kMillisecond, 0),
+                           harness::RecoverEvent(300 * kMillisecond, 0)};
   ExpectGolden("lan-leader-crash", harness::RunExperiment(cfg),
                {1143u, 68619u, 0x810ace2a69983042ull});
 }
@@ -477,9 +479,9 @@ TEST(SimGoldenTest, FullScenarioSweepJson) {
   axes.overlaps = {0, 1};
   axes.coalesce = {1, 4};
   harness::ExperimentConfig base;
-  base.num_replicas = 9;
+  base.replica.num_replicas = 9;
   base.num_clients = 24;
-  base.relay_groups = 3;
+  base.replica.pig.num_relay_groups = 3;
   base.workload.read_ratio = 0.5;
   base.warmup = 200 * kMillisecond;
   base.measure = 3 * kSecond;

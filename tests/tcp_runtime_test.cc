@@ -12,8 +12,8 @@
 #include <vector>
 
 #include "harness/local_cluster.h"
+#include "harness/replica_spec.h"
 #include "pigpaxos/messages.h"
-#include "pigpaxos/replica.h"
 #include "runtime/thread_cluster.h"
 #include "storage/file_storage.h"
 
@@ -26,15 +26,16 @@ using harness::LocalRuntime;
 constexpr int kOps = 15;
 constexpr NodeId kReplicas = 5;
 
-pigpaxos::PigPaxosOptions MakeOptions() {
-  pigpaxos::PigPaxosOptions opt;
-  opt.paxos.num_replicas = kReplicas;
-  opt.num_relay_groups = 2;
-  return opt;
+harness::ReplicaSpec MakeSpec() {
+  harness::ReplicaSpec spec;
+  spec.protocol = harness::Protocol::kPigPaxos;
+  spec.num_replicas = kReplicas;
+  spec.pig.num_relay_groups = 2;
+  return spec;
 }
 
 std::unique_ptr<Actor> MakeReplica(NodeId id) {
-  return std::make_unique<pigpaxos::PigPaxosReplica>(id, MakeOptions());
+  return harness::MakeReplica(MakeSpec(), id);
 }
 
 /// Runs the canonical workload on the given runtime and returns each
@@ -178,10 +179,9 @@ TEST_P(LocalRuntimeFaultTest, DurableRestartRecoversCommittedPrefixFromDisk) {
         (root / ("node-" + std::to_string(id))).string());
     EXPECT_TRUE(stores[id]->ok())
         << stores[id]->open_error().ToString();
-    pigpaxos::PigPaxosOptions opt = MakeOptions();
-    opt.paxos.storage = stores[id].get();
-    opt.paxos.snapshot_interval = 8;  // exercise snapshot + WAL suffix
-    return std::make_unique<pigpaxos::PigPaxosReplica>(id, opt);
+    harness::ReplicaSpec spec = MakeSpec();
+    spec.paxos.snapshot_interval = 8;  // exercise snapshot + WAL suffix
+    return harness::MakeReplica(spec, id, 0, stores[id].get());
   };
 
   LocalCluster cluster(GetParam(), /*seed=*/17);

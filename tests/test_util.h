@@ -3,13 +3,12 @@
 
 #include <map>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "consensus/client_messages.h"
 #include "consensus/env.h"
-#include "epaxos/replica.h"
-#include "paxos/replica.h"
-#include "pigpaxos/replica.h"
+#include "harness/replica_spec.h"
 #include "sim/cluster.h"
 
 namespace pig::test {
@@ -71,39 +70,48 @@ class Prober : public Actor {
   uint64_t seq_ = 0;
 };
 
-/// Builds a Paxos cluster with `n` replicas plus one Prober client.
-/// Returns the prober; replicas are cluster.actor(i).
-inline Prober* MakePaxosCluster(sim::Cluster& cluster, size_t n,
-                                paxos::PaxosOptions opt = {}) {
-  opt.num_replicas = n;
-  for (NodeId i = 0; i < n; ++i) {
-    cluster.AddReplica(i, std::make_unique<paxos::PaxosReplica>(i, opt));
-  }
-  auto prober = std::make_unique<Prober>();
-  Prober* p = prober.get();
-  cluster.AddClient(sim::Cluster::MakeClientId(0), std::move(prober));
-  return p;
+// Specs for the common single-protocol shapes. The PigPaxos helper
+// lifts opt.paxos into the spec's one PaxosOptions.
+inline harness::ReplicaSpec PaxosSpec(size_t n, paxos::PaxosOptions opt = {}) {
+  harness::ReplicaSpec spec;
+  spec.protocol = harness::Protocol::kPaxos;
+  spec.num_replicas = n;
+  spec.paxos = std::move(opt);
+  return spec;
 }
 
-inline Prober* MakePigCluster(sim::Cluster& cluster, size_t n,
-                              pigpaxos::PigPaxosOptions opt = {}) {
-  opt.paxos.num_replicas = n;
-  for (NodeId i = 0; i < n; ++i) {
-    cluster.AddReplica(i,
-                       std::make_unique<pigpaxos::PigPaxosReplica>(i, opt));
-  }
-  auto prober = std::make_unique<Prober>();
-  Prober* p = prober.get();
-  cluster.AddClient(sim::Cluster::MakeClientId(0), std::move(prober));
-  return p;
+inline harness::ReplicaSpec PigSpec(size_t n,
+                                    pigpaxos::PigPaxosOptions opt = {}) {
+  harness::ReplicaSpec spec;
+  spec.protocol = harness::Protocol::kPigPaxos;
+  spec.num_replicas = n;
+  spec.paxos = opt.paxos;
+  spec.pig = std::move(opt);
+  return spec;
 }
 
-inline Prober* MakeEPaxosCluster(sim::Cluster& cluster, size_t n,
-                                 epaxos::EPaxosOptions opt = {}) {
-  opt.num_replicas = n;
-  for (NodeId i = 0; i < n; ++i) {
-    cluster.AddReplica(i, std::make_unique<epaxos::EPaxosReplica>(i, opt));
+inline harness::ReplicaSpec EPaxosSpec(size_t n,
+                                       epaxos::EPaxosOptions opt = {}) {
+  harness::ReplicaSpec spec;
+  spec.protocol = harness::Protocol::kEPaxos;
+  spec.num_replicas = n;
+  spec.epaxos = std::move(opt);
+  return spec;
+}
+
+/// Adds spec.num_replicas nodes built by harness::MakeNode.
+inline void AddReplicas(sim::Cluster& cluster,
+                        const harness::ReplicaSpec& spec) {
+  for (NodeId i = 0; i < spec.num_replicas; ++i) {
+    cluster.AddReplica(i, harness::MakeNode(spec, i));
   }
+}
+
+/// AddReplicas plus one Prober client. Returns the prober; replicas are
+/// cluster.actor(i).
+inline Prober* MakeCluster(sim::Cluster& cluster,
+                           const harness::ReplicaSpec& spec) {
+  AddReplicas(cluster, spec);
   auto prober = std::make_unique<Prober>();
   Prober* p = prober.get();
   cluster.AddClient(sim::Cluster::MakeClientId(0), std::move(prober));
