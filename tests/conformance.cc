@@ -194,18 +194,6 @@ struct StorageBank {
   }
 };
 
-/// Adds every node's actor. With a bank, each hosted replica gets its
-/// persistent MemStorage and recovers from it in its constructor — the
-/// same path a rebuilt node takes after CrashWithDisk.
-void AddReplicas(sim::Cluster& cluster, const ConformanceConfig& cfg,
-                 StorageBank* bank = nullptr) {
-  for (NodeId i = 0; i < cfg.replica.num_replicas; ++i) {
-    cluster.AddReplica(
-        i, harness::MakeNode(cfg.replica, i,
-                             bank != nullptr ? bank->For(i) : nullptr));
-  }
-}
-
 std::vector<HistoryClient*> AddClients(sim::Cluster& cluster,
                                        const ConformanceConfig& cfg) {
   std::vector<HistoryClient*> clients;
@@ -577,7 +565,11 @@ ConformanceResult RunConformance(const ConformanceConfig& cfg,
       return harness::MakeNode(cfg.replica, id, bank.For(id));
     });
   }
-  AddReplicas(cluster, cfg, &bank);
+  // With a bank, each hosted replica recovers from its MemStorage in its
+  // constructor — the same path a rebuilt node takes after CrashWithDisk.
+  for (NodeId i = 0; i < n; ++i) {
+    cluster.AddReplica(i, harness::MakeNode(cfg.replica, i, bank.For(i)));
+  }
   std::vector<HistoryClient*> clients = AddClients(cluster, cfg);
   cluster.Start();
 
@@ -719,7 +711,7 @@ ConformanceResult RunDuplicateVoteFaultScenario(uint64_t seed,
   sim::ClusterOptions copt;
   copt.seed = seed;
   sim::Cluster cluster(copt);
-  AddReplicas(cluster, cfg);
+  AddReplicas(cluster, cfg.replica);
   std::vector<HistoryClient*> clients = AddClients(cluster, cfg);
   cluster.Start();
   cluster.RunFor(150 * kMillisecond);
@@ -792,7 +784,7 @@ ConformanceResult RunDuplicationFaultScenario(uint64_t seed,
   sim::ClusterOptions copt;
   copt.seed = seed;
   sim::Cluster cluster(copt);
-  AddReplicas(cluster, cfg);
+  AddReplicas(cluster, cfg.replica);
   std::vector<HistoryClient*> clients = AddClients(cluster, cfg);
   cluster.network().SetLinkDuplicate(kInvalidNode, kInvalidNode, 1.0);
   cluster.Start();
