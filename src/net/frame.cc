@@ -1,6 +1,8 @@
 #include "net/frame.h"
 
+#include <algorithm>
 #include <cstdio>
+#include <cstring>
 
 namespace pig::net {
 
@@ -22,24 +24,39 @@ void AppendRawFrame(const uint8_t* payload, size_t size,
 }
 
 void FrameReader::Append(const uint8_t* data, size_t size) {
-  // Compact before growing: once every complete frame has been consumed
-  // the buffer resets for free; a large consumed prefix is trimmed so the
-  // buffer does not grow without bound on a long-lived connection.
-  if (pos_ == buf_.size()) {
-    buf_.clear();
-    pos_ = 0;
-  } else if (pos_ >= 64 * 1024) {
-    buf_.erase(buf_.begin(), buf_.begin() + static_cast<long>(pos_));
+  if (size == 0) return;
+  size_t room = 0;
+  std::memcpy(WriteSpace(size, &room), data, size);
+  Commit(size);
+}
+
+uint8_t* FrameReader::WriteSpace(size_t min, size_t* room) {
+  // Once every complete frame has been consumed the buffer restarts for
+  // free; otherwise the unconsumed tail (a partial frame) moves to the
+  // front only when the free space behind it is too small.
+  if (pos_ == end_) {
+    pos_ = end_ = 0;
+  } else if (cap_ - end_ < min && pos_ > 0) {
+    std::memmove(buf_.get(), buf_.get() + pos_, end_ - pos_);
+    end_ -= pos_;
     pos_ = 0;
   }
-  buf_.insert(buf_.end(), data, data + size);
+  if (cap_ - end_ < min) {
+    const size_t cap = std::max(end_ + min, 2 * cap_);
+    auto grown = std::make_unique_for_overwrite<uint8_t[]>(cap);
+    if (end_ > 0) std::memcpy(grown.get(), buf_.get(), end_);
+    buf_ = std::move(grown);
+    cap_ = cap;
+  }
+  *room = cap_ - end_;
+  return buf_.get() + end_;
 }
 
 FrameReader::Result FrameReader::Next(const uint8_t** payload,
                                       size_t* size) {
   if (corrupt_) return Result::kCorrupt;
-  if (buf_.size() - pos_ < kFrameHeaderBytes) return Result::kNeedMore;
-  const uint8_t* h = buf_.data() + pos_;
+  if (end_ - pos_ < kFrameHeaderBytes) return Result::kNeedMore;
+  const uint8_t* h = buf_.get() + pos_;
   const uint32_t len = static_cast<uint32_t>(h[0]) |
                        (static_cast<uint32_t>(h[1]) << 8) |
                        (static_cast<uint32_t>(h[2]) << 16) |
@@ -48,16 +65,15 @@ FrameReader::Result FrameReader::Next(const uint8_t** payload,
     corrupt_ = true;  // desynced or garbage stream: unrecoverable
     return Result::kCorrupt;
   }
-  if (buf_.size() - pos_ - kFrameHeaderBytes < len) return Result::kNeedMore;
-  *payload = buf_.data() + pos_ + kFrameHeaderBytes;
+  if (end_ - pos_ - kFrameHeaderBytes < len) return Result::kNeedMore;
+  *payload = buf_.get() + pos_ + kFrameHeaderBytes;
   *size = len;
   pos_ += kFrameHeaderBytes + len;
   return Result::kFrame;
 }
 
 void FrameReader::Reset() {
-  buf_.clear();
-  pos_ = 0;
+  pos_ = end_ = 0;
   corrupt_ = false;
 }
 

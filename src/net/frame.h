@@ -13,6 +13,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "consensus/message.h"
@@ -49,30 +50,45 @@ void AppendRawFrame(const uint8_t* payload, size_t size,
 
 /// Incremental frame extractor over a stream of read() chunks.
 ///
-///   reader.Append(bytes, n);                    // after each read()
+///   size_t room;                                // socket: read in place
+///   uint8_t* dst = reader.WriteSpace(4096, &room);
+///   ssize_t n = recv(fd, dst, room, 0);
+///   if (n > 0) reader.Commit(n);                // (or Append(bytes, n))
 ///   const uint8_t* payload; size_t size;
 ///   while (reader.Next(&payload, &size) == FrameReader::Result::kFrame) {
 ///     DecodeMessage(payload, size, ...);        // view into the reader;
-///   }                                           // valid until next Append
+///   }                                           // valid until next write
 class FrameReader {
  public:
   enum class Result { kFrame, kNeedMore, kCorrupt };
 
+  /// Copies `size` bytes to the end of the buffered stream.
   void Append(const uint8_t* data, size_t size);
 
+  /// Returns room for at least `min` bytes after the buffered ones, so a
+  /// read() can land in place; `*room` gets the usable size. The space
+  /// is left uninitialised, so pages a read never reaches stay
+  /// untouched. Invalidates earlier payload views.
+  uint8_t* WriteSpace(size_t min, size_t* room);
+
+  /// Appends the first `n` bytes written into the last WriteSpace.
+  void Commit(size_t n) { end_ += n; }
+
   /// Extracts the next complete frame. The payload view stays valid until
-  /// the next Append/Reset. Once kCorrupt is returned the stream cannot
-  /// be resynchronized; drop the connection.
+  /// the next Append/WriteSpace/Reset. Once kCorrupt is returned the
+  /// stream cannot be resynchronized; drop the connection.
   Result Next(const uint8_t** payload, size_t* size);
 
   /// Drops all buffered bytes (reconnect reuses the reader).
   void Reset();
 
-  size_t buffered() const { return buf_.size() - pos_; }
+  size_t buffered() const { return end_ - pos_; }
 
  private:
-  std::vector<uint8_t> buf_;
-  size_t pos_ = 0;
+  std::unique_ptr<uint8_t[]> buf_;
+  size_t cap_ = 0;
+  size_t pos_ = 0;  // first unconsumed byte
+  size_t end_ = 0;  // one past the last buffered byte
   bool corrupt_ = false;
 };
 

@@ -33,16 +33,20 @@ class EventLoop::LoopEnv final : public Env {
 
   TimerId SetTimer(TimeNs delay, std::function<void()> cb) override {
     std::lock_guard<std::mutex> lock(loop_->mu_);
-    TimerId id = loop_->next_timer_id_++;
-    loop_->timers_.emplace(id,
-                           std::make_pair(Now() + delay, std::move(cb)));
+    const TimerId id = loop_->next_timer_id_++;
+    const TimeNs deadline = Now() + delay;
+    loop_->timers_.emplace(std::make_pair(deadline, id), std::move(cb));
+    loop_->deadline_of_.emplace(id, deadline);
     loop_->cv_.notify_one();
     return id;
   }
 
   void CancelTimer(TimerId id) override {
     std::lock_guard<std::mutex> lock(loop_->mu_);
-    loop_->timers_.erase(id);
+    auto it = loop_->deadline_of_.find(id);
+    if (it == loop_->deadline_of_.end()) return;  // fired or cancelled
+    loop_->timers_.erase(std::make_pair(it->second, id));
+    loop_->deadline_of_.erase(it);
   }
 
   Rng& rng() override { return rng_; }
@@ -92,19 +96,15 @@ bool EventLoop::FireDueTimers() {
   bool fired = false;
   std::unique_lock<std::mutex> lock(mu_);
   const TimeNs now = Now();
-  for (auto it = timers_.begin(); it != timers_.end();) {
-    if (it->second.first <= now) {
-      auto cb = std::move(it->second.second);
-      it = timers_.erase(it);
-      lock.unlock();
-      cb();
-      lock.lock();
-      fired = true;
-      // Restart the scan: the callback may have mutated the timer map.
-      it = timers_.begin();
-    } else {
-      ++it;
-    }
+  // The first entry is always the earliest, whatever the callbacks armed
+  // or cancelled meanwhile.
+  while (!timers_.empty() && timers_.begin()->first.first <= now) {
+    auto due = timers_.extract(timers_.begin());
+    deadline_of_.erase(due.key().second);
+    lock.unlock();
+    due.mapped()();
+    lock.lock();
+    fired = true;
   }
   return fired;
 }
@@ -139,22 +139,16 @@ void EventLoop::DispatchWire(NodeId from, const uint8_t* data,
 
 TimeNs EventLoop::NextTimerDeadline() const {
   std::lock_guard<std::mutex> lock(mu_);
-  TimeNs next = -1;
-  for (const auto& [_, t] : timers_) {
-    if (next < 0 || t.first < next) next = t.first;
-  }
-  return next;
+  return timers_.empty() ? -1 : timers_.begin()->first.first;
 }
 
 void EventLoop::WaitForWork(TimeNs max_wait) {
   std::unique_lock<std::mutex> lock(mu_);
   if (!mailbox_.empty()) return;
-  TimeNs next = -1;
-  for (const auto& [_, t] : timers_) {
-    if (next < 0 || t.first < next) next = t.first;
-  }
   TimeNs wait = max_wait;
-  if (next >= 0) wait = std::min(wait, next - Now());
+  if (!timers_.empty()) {
+    wait = std::min(wait, timers_.begin()->first.first - Now());
+  }
   if (wait <= 0) return;
   cv_.wait_for(lock, std::chrono::nanoseconds(wait));
 }

@@ -20,6 +20,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -125,8 +126,10 @@ class EventLoop {
   std::condition_variable cv_;
   std::deque<Mail> mailbox_;
   std::vector<std::vector<uint8_t>> wire_pool_;
-  // timer id -> (deadline, callback)
-  std::map<TimerId, std::pair<TimeNs, std::function<void()>>> timers_;
+  // Armed timers in firing order, (deadline, id) -> callback, so the next
+  // deadline is the first entry; deadline_of_ finds an entry to cancel.
+  std::map<std::pair<TimeNs, TimerId>, std::function<void()>> timers_;
+  std::unordered_map<TimerId, TimeNs> deadline_of_;
   TimerId next_timer_id_ = 1;
 };
 

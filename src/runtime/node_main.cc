@@ -7,7 +7,10 @@
 //   pig_node --client --peers=... --ops=200        # blocking workload
 //
 // The i-th --peers entry is node i's listen address; a replica binds its
-// own entry and dials the rest. The client joins with an ephemeral port
+// own entry and dials the rest. Each pair of replicas then talks over the
+// one connection the higher id dialed, in both directions; the
+// connection the lower id dialed is a fallback while that one is down
+// (runtime/tcp_cluster.h). The client joins with an ephemeral port
 // (replies return over its dialed connections), runs `--ops` sequential
 // puts plus a read-back check, prints "committed=N failed=M", and exits
 // nonzero on any failure. Replicas run until SIGTERM/SIGINT.

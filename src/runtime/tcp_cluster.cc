@@ -8,9 +8,9 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
-#include <deque>
 #include <thread>
 #include <unordered_set>
 #include <utility>
@@ -62,6 +62,17 @@ class TcpCluster::TcpNode final : public Transport {
     size_t out_pos = 0;
   };
 
+  /// Room offered to a recv(): a short read means the socket is drained;
+  /// one that fills its room is followed by another with twice the room,
+  /// up to kMaxRead. A reader's buffer keeps what it grew to, so quiet
+  /// connections stay small and busy ones read in large chunks.
+  static constexpr size_t kMinRead = 2 * 1024;
+  static constexpr size_t kMaxRead = 64 * 1024;
+
+  /// The node whose loop runs on the calling thread (nullptr elsewhere):
+  /// tells Send whether it may touch connection state directly.
+  static thread_local const TcpNode* loop_node_;
+
   void LoopMain();
   void HandleEvent(const epoll_event& ev);
   void AcceptAll();
@@ -70,8 +81,11 @@ class TcpCluster::TcpNode final : public Transport {
   bool FlushConn(Conn* c);
   void FlushDirty();
   void OnFrame(Conn* c, const uint8_t* payload, size_t size);
-  void SendOnLoop(NodeId to, const Message& msg);
+  void SendOnLoop(NodeId to, const MessagePtr& msg);
+  Conn* RouteTo(NodeId to);
+  const std::vector<uint8_t>& FrameOf(const MessagePtr& msg);
   Conn* DialPeer(NodeId to);
+  bool AllPeersDialed() const { return outbound_.size() == remote_peers_; }
   void RetryConnects();
   void ScheduleReconnect(NodeId peer);
   ReconnectBackoff& BackoffFor(NodeId peer);
@@ -91,7 +105,6 @@ class TcpCluster::TcpNode final : public Transport {
   int event_fd_ = -1;
 
   std::thread thread_;
-  std::thread::id loop_thread_id_;
   std::atomic<bool> alive_{false};
 
   std::unordered_map<int, std::unique_ptr<Conn>> conns_;     // by fd
@@ -99,12 +112,24 @@ class TcpCluster::TcpNode final : public Transport {
   std::unordered_map<NodeId, Conn*> inbound_route_;          // hello'd
   std::unordered_map<NodeId, ReconnectBackoff> backoff_;
   std::unordered_set<int> dirty_;  // conns with unflushed output
+  size_t remote_peers_ = 0;  // address-map entries other than id_
+
+  // The last frame encoded this loop pass and the message it encodes
+  // (held, so its address cannot be reused): a fan-out of one message
+  // to many peers encodes once and copies the bytes.
+  MessagePtr frame_msg_;
+  std::vector<uint8_t> frame_;
 
   std::mutex ext_mu_;
-  std::deque<std::pair<NodeId, MessagePtr>> external_sends_;
+  std::atomic<bool> ext_pending_{false};  // external_sends_ non-empty
+  std::vector<std::pair<NodeId, MessagePtr>> external_sends_;
+  std::vector<std::pair<NodeId, MessagePtr>> ext_batch_;  // loop-owned
 
   uint64_t rand_state_;
 };
+
+thread_local const TcpCluster::TcpNode* TcpCluster::TcpNode::loop_node_ =
+    nullptr;
 
 TcpCluster::TcpNode::TcpNode(TcpCluster* cluster, NodeId id,
                              std::unique_ptr<Actor> actor, uint16_t port)
@@ -176,43 +201,63 @@ void TcpCluster::TcpNode::WakeLoop() {
 
 void TcpCluster::TcpNode::Send(NodeId from, NodeId to, MessagePtr msg) {
   (void)from;  // always id_: each node is its own transport
-  if (std::this_thread::get_id() == loop_thread_id_) {
-    SendOnLoop(to, *msg);
+  if (loop_node_ == this) {
+    SendOnLoop(to, msg);
     return;
   }
   {
     std::lock_guard<std::mutex> lock(ext_mu_);
     external_sends_.emplace_back(to, std::move(msg));
+    ext_pending_.store(true);
   }
   WakeLoop();
 }
 
-void TcpCluster::TcpNode::SendOnLoop(NodeId to, const Message& msg) {
+void TcpCluster::TcpNode::SendOnLoop(NodeId to, const MessagePtr& msg) {
   if (to == id_) {
     // Self-send: through the loop's own mailbox, like any other message.
     std::vector<uint8_t> wire = loop_.AcquireWireBuffer();
-    EncodeMessageTo(msg, &wire);
+    EncodeMessageTo(*msg, &wire);
     loop_.Deliver(id_, std::move(wire));
     return;
   }
-  Conn* c = nullptr;
-  auto out_it = outbound_.find(to);
-  if (out_it != outbound_.end()) {
-    c = out_it->second;
-  } else if (cluster_->peers_.count(to) != 0) {
-    c = DialPeer(to);  // nullptr while in reconnect backoff
-  } else {
-    // Not in the address map: a client that dialed us. Reply over its
-    // most recent inbound connection.
-    auto in_it = inbound_route_.find(to);
-    if (in_it != inbound_route_.end()) c = in_it->second;
-  }
+  Conn* c = RouteTo(to);
   if (c == nullptr) return;  // fail-silent
   if (c->out.size() - c->out_pos > cluster_->options_.max_queued_bytes) {
     return;  // peer down long enough that its queue is full: drop
   }
-  net::AppendFrame(msg, &c->out);
+  const std::vector<uint8_t>& frame = FrameOf(msg);
+  c->out.insert(c->out.end(), frame.begin(), frame.end());
   dirty_.insert(c->fd);
+}
+
+TcpCluster::TcpNode::Conn* TcpCluster::TcpNode::RouteTo(NodeId to) {
+  // One connection per pair carries both directions: the one the higher
+  // id dialed. Its dialer uses it once connected; the other side once
+  // its NodeHello has named the dialer. Replies then carry the ACKs of
+  // the requests they answer. A client (absent from the address map)
+  // always has the higher id, so it is answered the same way.
+  auto out_it = outbound_.find(to);
+  Conn* out = out_it == outbound_.end() ? nullptr : out_it->second;
+  auto in_it = inbound_route_.find(to);
+  Conn* in = in_it == inbound_route_.end() ? nullptr : in_it->second;
+  Conn* preferred = id_ > to ? out : in;
+  Conn* other = id_ > to ? in : out;
+  if (preferred != nullptr && !preferred->connecting) return preferred;
+  if (other != nullptr && !other->connecting) return other;  // fallback
+  if (out != nullptr) return out;  // queue behind the connect in flight
+  if (cluster_->peers_.count(to) == 0) return nullptr;
+  return DialPeer(to);  // nullptr while in reconnect backoff
+}
+
+const std::vector<uint8_t>& TcpCluster::TcpNode::FrameOf(
+    const MessagePtr& msg) {
+  if (msg != frame_msg_) {
+    frame_msg_ = msg;
+    frame_.clear();
+    net::AppendFrame(*msg, &frame_);
+  }
+  return frame_;
 }
 
 TcpCluster::TcpNode::Conn* TcpCluster::TcpNode::DialPeer(NodeId to) {
@@ -267,6 +312,7 @@ TcpCluster::TcpNode::Conn* TcpCluster::TcpNode::DialPeer(NodeId to) {
 }
 
 void TcpCluster::TcpNode::RetryConnects() {
+  if (AllPeersDialed()) return;
   for (const auto& [peer, addr] : cluster_->peers_) {
     (void)addr;
     if (peer == id_ || outbound_.count(peer) != 0) continue;
@@ -376,11 +422,13 @@ void TcpCluster::TcpNode::OnFrame(Conn* c, const uint8_t* payload,
 }
 
 bool TcpCluster::TcpNode::HandleReadable(Conn* c) {
-  uint8_t buf[64 * 1024];
+  size_t want = kMinRead;
   for (;;) {
-    const ssize_t n = ::recv(c->fd, buf, sizeof(buf), 0);
+    size_t room = 0;
+    uint8_t* dst = c->reader.WriteSpace(want, &room);
+    const ssize_t n = ::recv(c->fd, dst, room, 0);
     if (n > 0) {
-      c->reader.Append(buf, static_cast<size_t>(n));
+      c->reader.Commit(static_cast<size_t>(n));
       const uint8_t* payload = nullptr;
       size_t size = 0;
       net::FrameReader::Result r;
@@ -394,6 +442,11 @@ bool TcpCluster::TcpNode::HandleReadable(Conn* c) {
         CloseConn(c->fd);
         return false;
       }
+      // A short read drained the socket. Epoll is level-triggered, so
+      // returning now costs nothing if more arrived meanwhile, and saves
+      // the recv that would only report EAGAIN.
+      if (static_cast<size_t>(n) < room) return true;
+      want = std::min(2 * room, kMaxRead);
       continue;
     }
     if (n == 0) {  // EOF: peer closed or crashed
@@ -469,22 +522,28 @@ void TcpCluster::TcpNode::HandleEvent(const epoll_event& ev) {
 }
 
 void TcpCluster::TcpNode::DrainExternalSends() {
-  std::deque<std::pair<NodeId, MessagePtr>> pending;
+  // A send that races this check also wakes the loop: the next pass
+  // drains it.
+  if (!ext_pending_.load()) return;
   {
     std::lock_guard<std::mutex> lock(ext_mu_);
-    pending.swap(external_sends_);
+    ext_batch_.swap(external_sends_);
+    ext_pending_.store(false);
   }
-  for (auto& [to, msg] : pending) SendOnLoop(to, *msg);
+  for (const auto& [to, msg] : ext_batch_) SendOnLoop(to, msg);
+  ext_batch_.clear();  // keeps its capacity for the next swap
 }
 
 int TcpCluster::TcpNode::PollTimeoutMs() {
   const TimeNs now = loop_.Now();
   TimeNs next = loop_.NextTimerDeadline();
-  for (const auto& [peer, b] : backoff_) {
-    if (outbound_.count(peer) != 0) continue;
-    const TimeNs at = b.next_attempt_at();
-    if (at == 0) continue;  // no retry scheduled
-    if (next < 0 || at < next) next = at;
+  if (!AllPeersDialed()) {
+    for (const auto& [peer, b] : backoff_) {
+      if (outbound_.count(peer) != 0) continue;
+      const TimeNs at = b.next_attempt_at();
+      if (at == 0) continue;  // no retry scheduled
+      if (next < 0 || at < next) next = at;
+    }
   }
   if (next < 0) return 100;
   const TimeNs delta = next - now;
@@ -494,7 +553,9 @@ int TcpCluster::TcpNode::PollTimeoutMs() {
 }
 
 void TcpCluster::TcpNode::LoopMain() {
-  loop_thread_id_ = std::this_thread::get_id();
+  loop_node_ = this;
+  // The address map is read-only from Start() on.
+  remote_peers_ = cluster_->peers_.size() - cluster_->peers_.count(id_);
   loop_.StartActor();
   epoll_event events[64];
   while (alive_.load(std::memory_order_acquire)) {
@@ -504,11 +565,13 @@ void TcpCluster::TcpNode::LoopMain() {
     }
     RetryConnects();
     FlushDirty();
+    frame_msg_.reset();  // a fan-out ends with its loop pass
     const int n = ::epoll_wait(epoll_fd_, events, 64, PollTimeoutMs());
     for (int i = 0; i < n; ++i) HandleEvent(events[i]);
   }
   // Close connections from the loop thread so peers see FIN promptly.
   while (!conns_.empty()) CloseConn(conns_.begin()->first);
+  loop_node_ = nullptr;
 }
 
 // ---------------------------------------------------------------------------

@@ -7,15 +7,23 @@
 // can also host all nodes in one process — the cross-runtime equivalence
 // tests and the loopback bench do exactly that.
 //
-// Connection model: every node dials every peer in its address map and
-// opens with a NodeHello frame identifying itself. The accepting side
-// learns the dialer from that hello and routes replies back over the same
-// socket, which is how clients (absent from the static peer map) get
-// answered. Connects are nonblocking with exponential-backoff retry, and
-// a dropped connection is redialed the same way; output queued on a dead
+// Connection model: one connection per pair of nodes carries both
+// directions, so a reply travels with the TCP ACK of the request it
+// answers instead of the receiver sending a pure ACK. Every node still
+// dials every peer in its address map and opens with a NodeHello frame
+// identifying itself; the accepting side learns the dialer from that
+// hello. Traffic goes over the connection the higher id of the pair
+// dialed — its dialer uses it once connected, the lower id once the hello
+// has arrived. The connection the lower id dialed is the fallback, used
+// while the preferred one is down or not yet identified (a peer that
+// restarts, say). Clients are absent from the address map and always
+// have the higher id, so they are answered over the connection they
+// dialed. Connects are nonblocking with exponential-backoff retry, and a
+// dropped connection is redialed the same way; output queued on a dead
 // connection is discarded whole — a frame is never resumed mid-way — and
 // the protocols' own retries/heartbeats recover, exactly the fail-silent
-// Env::Send contract.
+// Env::Send contract. A switch between the two connections of a pair can
+// reorder messages in flight, which that contract also allows.
 #pragma once
 
 #include <atomic>
